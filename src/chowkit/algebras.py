@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .exact import Poly, is_prime
+from .exact import Poly, is_prime, row_echelon
 
 
 class AlgebraMismatchError(ValueError):
@@ -172,42 +172,12 @@ def symbolic_quaternion(prefix: str, algebra: QuatAlgebra | None = None) -> Quat
 
 def rank_modp(rows, p: int) -> int:
     """Rank of a matrix over F_p (rows of ints)."""
-    m = [[v % p for v in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        m[rank] = [(v * inv) % p for v in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [(v - f * w) % p for v, w in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+    return len(row_echelon(rows, p)[1])
 
 
 def rank_fractions(rows) -> int:
     """Rank of a matrix over Q (rows of ints or Fractions)."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [v - f * w for v, w in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+    return len(row_echelon(rows)[1])
 
 
 # -- split matrix algebras ---------------------------------------------------

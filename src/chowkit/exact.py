@@ -1,9 +1,10 @@
 """Exact arithmetic kernel shared by the whole package.
 
 Sparse multivariate polynomials with integer (or exact rational) coefficients,
-immutable integer matrices, fraction-free determinants and Smith normal forms
-with unimodular transforms.  No floating point appears anywhere: coefficients
-are Python ints and ``fractions.Fraction`` values, both arbitrary precision.
+immutable integer matrices, fraction-free determinants, Smith normal forms
+with unimodular transforms, and reduced row echelon forms over F_p and Q.
+No floating point appears anywhere: coefficients are Python ints and
+``fractions.Fraction`` values, both arbitrary precision.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ def _grlex(exps):
 class Poly:
     """Sparse polynomial in named variables over exact scalars.
 
-    Terms map exponent tuples to coefficients over an ordered tuple of
-    variable names.  The canonical form stores no zero coefficients and no
+    Terms map exponent tuples to coefficients over a tuple of variable names
+    sorted by name.  The canonical form stores no zero coefficients and no
     unused variables, so structural equality is ring equality.  Term order is
     graded lexicographic throughout (printing, leading terms, division).
     """
@@ -62,10 +63,12 @@ class Poly:
                     raise ValueError("exponent vector does not match variable list")
                 cleaned[exps] = cleaned.get(exps, 0) + coeff
             cleaned = {e: c for e, c in cleaned.items() if c != 0}
-        # Drop variables that never occur, so x+0*y == x structurally.
+        # Drop variables that never occur, so x+0*y == x structurally, and
+        # sort the rest by name, so the caller's listing order does not count.
         if variables and cleaned:
             used = [i for i in range(len(variables)) if any(e[i] for e in cleaned)]
-            if len(used) != len(variables):
+            if len(used) != len(variables) or sorted(variables) != list(variables):
+                used.sort(key=variables.__getitem__)
                 variables = tuple(variables[i] for i in used)
                 cleaned = {tuple(e[i] for i in used): c for e, c in cleaned.items()}
         elif not cleaned:
@@ -426,6 +429,46 @@ def det_exact(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def row_echelon(rows, p: int | None = None):
+    """Reduced row echelon form over F_p (p prime), or over Q when p is None.
+
+    Returns (rref_rows, pivot_columns): the nonzero reduced rows, each with a
+    leading 1 in its pivot column, and those columns in increasing order.
+    Entries over F_p are ints in 0..p-1; over Q they are Fractions.
+    """
+    # The field's row operations are chosen once here, not inside each row.
+    if p is None:
+        m = [[Fraction(v) for v in row] for row in rows]
+
+        def scale(row, f):
+            return [v * f for v in row]
+
+        def subtract(row, f, pivot_row):
+            return [v - f * w for v, w in zip(row, pivot_row)]
+    else:
+        m = [[v % p for v in row] for row in rows]
+
+        def scale(row, f):
+            return [(v * f) % p for v in row]
+
+        def subtract(row, f, pivot_row):
+            return [(v - f * w) % p for v, w in zip(row, pivot_row)]
+
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        m[rank] = scale(m[rank], pow(m[rank][col], -1, p))
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                m[i] = subtract(m[i], m[i][col], m[rank])
+        pivots.append(col)
+    return m[:len(pivots)], pivots
 
 
 @dataclass(frozen=True)

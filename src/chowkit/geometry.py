@@ -13,9 +13,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import isqrt
+from math import isqrt, lcm
 
-from .exact import Poly, det_expansion
+from .exact import Poly, det_expansion, row_echelon
 from .algebras import QuatAlgebra, QuatElement, nrd, quat_mul, symbolic_quaternion
 
 
@@ -204,29 +204,14 @@ def _bilinear(gram, u, v):
 
 def _nullspace(rows, ncols):
     """Basis of the right kernel of a rational matrix."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [v - f * w for v, w in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
+    reduced, pivots = row_echelon(rows)
     basis = []
     free = [c for c in range(ncols) if c not in pivots]
     for fc in free:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -m[r][fc]
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[fc]
         basis.append(vec)
     return basis
 
@@ -283,16 +268,8 @@ def _diagonalize_symmetric(gram):
 
 
 def _clear_denominators(diag):
-    lcm = 1
-    for d in diag:
-        lcm = lcm * d.denominator // _gcd(lcm, d.denominator)
-    return [int(d * lcm) for d in diag]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    scale = lcm(*(d.denominator for d in diag))
+    return [int(d * scale) for d in diag]
 
 
 def find_isotropic(diag, bound: int = 30):

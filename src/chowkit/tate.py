@@ -337,36 +337,31 @@ def _lambda_entry(n: int, row, col) -> int:
     return table.get(tuple(row), 0) % n
 
 
-def d2_matrix(n: int, q: int) -> D2Matrix:
-    """Second-differential matrix from twist q into twist q+1.
-
-    Computed from the closed form (bump one index, entry i_t mod n) and
-    re-derived from the lambda-linear coefficient of the Chern twist product;
-    the two must agree entry by entry.
-    """
+def _d2(n: int, q: int, entry) -> D2Matrix:
     if not is_prime(n):
         raise NotPrimeError("differential matrices are stated for prime degree")
     if not 1 <= q <= max_weight(n):
         raise SliceRangeError(f"twist weight must lie in 1..{max_weight(n)}")
     rows = tuple(enumerate_multi_indices(n, weight=q))
     cols = tuple(enumerate_multi_indices(n, weight=q + 1))
-    closed = tuple(tuple(_closed_form_entry(n, r, c) for c in cols) for r in rows)
-    derived = tuple(tuple(_lambda_entry(n, r, c) for c in cols) for r in rows)
-    if closed != derived:
-        raise AssertionError("closed form and Chern-product derivation disagree")
-    return D2Matrix(n, q, rows, cols, closed)
+    entries = tuple(tuple(entry(n, r, c) for c in cols) for r in rows)
+    return D2Matrix(n, q, rows, cols, entries)
+
+
+def d2_matrix(n: int, q: int) -> D2Matrix:
+    """Second-differential matrix from twist q into twist q+1.
+
+    Computed from the closed form alone: bump one index, entry i_t mod n.
+    The independent Chern-product route, d2_matrix_from_chern, is compared
+    with it where a comparison is reported (the d2_oracle check of
+    `chowkit verify all`, `chowkit d2`, and the tests), not on every call.
+    """
+    return _d2(n, q, _closed_form_entry)
 
 
 def d2_matrix_from_chern(n: int, q: int) -> D2Matrix:
     """The differential matrix by the lambda-coefficient route alone."""
-    if not is_prime(n):
-        raise NotPrimeError("differential matrices are stated for prime degree")
-    if not 1 <= q <= max_weight(n):
-        raise SliceRangeError(f"twist weight must lie in 1..{max_weight(n)}")
-    rows = tuple(enumerate_multi_indices(n, weight=q))
-    cols = tuple(enumerate_multi_indices(n, weight=q + 1))
-    entries = tuple(tuple(_lambda_entry(n, r, c) for c in cols) for r in rows)
-    return D2Matrix(n, q, rows, cols, entries)
+    return _d2(n, q, _lambda_entry)
 
 
 # -- split-case pattern checks --------------------------------------------------

@@ -91,6 +91,15 @@ def test_unused_variables_are_dropped():
     assert (x + y - y).variables == ("x",)
 
 
+def test_variable_order_is_canonical():
+    ab = Poly(("a", "b"), {(2, 1): 1})
+    ba = Poly(("b", "a"), {(1, 2): 1})
+    assert ab == ba
+    assert hash(ab) == hash(ba)
+    assert len({ab: 1, ba: 2}) == 1
+    assert ab.variables == ba.variables == ("a", "b")
+
+
 def test_coefficient_extraction():
     lam, c = Poly.var("lam"), Poly.var("c")
     p = c ** 3 - 2 * lam * c ** 2 + lam ** 2 * c
