@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt, lcm
 
-from .exact import Poly, det_expansion, row_echelon
+from .exact import Poly, det_expansion, prime_factors, row_echelon
 from .algebras import QuatAlgebra, QuatElement, nrd, quat_mul, symbolic_quaternion
 
 
@@ -472,19 +472,9 @@ def similarity_certificate(f, g, bound: int = 30):
     """
     f = [Fraction(c) for c in f]
     g = [Fraction(c) for c in g]
-    primes = set()
-    for value in list(f) + list(g):
-        for part in (abs(value.numerator), value.denominator):
-            d = 2
-            while d * d <= part:
-                if part % d == 0:
-                    primes.add(d)
-                    while part % d == 0:
-                        part //= d
-                d += 1
-            if part > 1:
-                primes.add(part)
-    primes = sorted(primes)
+    primes = sorted({p for value in f + g
+                     for part in (value.numerator, value.denominator)
+                     for p in prime_factors(part)})
     candidates = []
     for bits in product((0, 1), repeat=len(primes)):
         prod_ = 1

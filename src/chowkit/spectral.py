@@ -12,7 +12,7 @@ precise sense in which the output does not depend on it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exact import is_prime
 from .tate import NotPrimeError, d2_matrix, enumerate_multi_indices, slice_patterns
@@ -170,8 +170,12 @@ class Differential:
 class E2Page:
     n: int
     weight: int
-    cells: dict = field(compare=True)
+    cells: dict
     differentials: tuple = ()
+
+    def __hash__(self):
+        # cells stays a dict, so the generated hash would fail on it.
+        return hash((self.n, self.weight, frozenset(self.cells.items()), self.differentials))
 
     def cell(self, p: int, q: int) -> GroupExpr:
         return self.cells.get((p, q), ZERO)

@@ -320,31 +320,37 @@ class D2Matrix:
         )
 
 
-def _closed_form_entry(n: int, row, col) -> int:
-    if len(row) != len(col):
-        return 0
-    diffs = [(i, a, b) for i, (a, b) in enumerate(zip(row, col)) if a != b]
-    if len(diffs) != 1:
-        return 0
-    _, a, b = diffs[0]
-    if b != a + 1:
-        return 0
-    return a % n
+def _closed_form_column(n: int, col):
+    """Entry function of column col: i_t mod n where col bumps row's i_t by one."""
+    def entry(row) -> int:
+        if len(row) != len(col):
+            return 0
+        diffs = [(a, b) for a, b in zip(row, col) if a != b]
+        if len(diffs) != 1:
+            return 0
+        a, b = diffs[0]
+        if b != a + 1:
+            return 0
+        return a % n
+    return entry
 
 
-def _lambda_entry(n: int, row, col) -> int:
+def _lambda_column(n: int, col):
+    """Entry function of column col: the lambda-linear coefficient of its
+    sign-flipped Chern product, expanded once for the whole column."""
     table = chern_twist_product(col, sign_flip=True).lambda_coefficient(1)
-    return table.get(tuple(row), 0) % n
+    return lambda row: table.get(tuple(row), 0) % n
 
 
-def _d2(n: int, q: int, entry) -> D2Matrix:
+def _d2(n: int, q: int, column) -> D2Matrix:
     if not is_prime(n):
         raise NotPrimeError("differential matrices are stated for prime degree")
     if not 1 <= q <= max_weight(n):
         raise SliceRangeError(f"twist weight must lie in 1..{max_weight(n)}")
     rows = tuple(enumerate_multi_indices(n, weight=q))
     cols = tuple(enumerate_multi_indices(n, weight=q + 1))
-    entries = tuple(tuple(entry(n, r, c) for c in cols) for r in rows)
+    columns = [column(n, c) for c in cols]
+    entries = tuple(tuple(entry(r) for entry in columns) for r in rows)
     return D2Matrix(n, q, rows, cols, entries)
 
 
@@ -356,12 +362,12 @@ def d2_matrix(n: int, q: int) -> D2Matrix:
     with it where a comparison is reported (the d2_oracle check of
     `chowkit verify all`, `chowkit d2`, and the tests), not on every call.
     """
-    return _d2(n, q, _closed_form_entry)
+    return _d2(n, q, _closed_form_column)
 
 
 def d2_matrix_from_chern(n: int, q: int) -> D2Matrix:
     """The differential matrix by the lambda-coefficient route alone."""
-    return _d2(n, q, _lambda_entry)
+    return _d2(n, q, _lambda_column)
 
 
 # -- split-case pattern checks --------------------------------------------------

@@ -13,7 +13,9 @@ from chowkit.exact import (
     det_exact,
     det_expansion,
     invertible_over_localization,
+    is_prime,
     poly_mul,
+    prime_factors,
     smith_normal_form,
 )
 
@@ -271,7 +273,102 @@ def test_smith_reconstruction_and_divisibility(rows):
             assert b % a == 0
 
 
+# A 7x7 and an 8x8 matrix on which the earlier remainder-and-swap pivoting was
+# still running after 20 s.
+OVERRUN_7X7 = [
+    [3, -1, 4, -8, -7, 8, -2],
+    [8, -7, 4, 5, 7, -9, 0],
+    [-2, 9, -1, 7, 7, -5, -9],
+    [2, 2, -5, 6, 6, -6, 1],
+    [5, -4, 2, -7, 8, 4, -3],
+    [-7, -3, 4, 7, 1, -7, 2],
+    [-6, 8, 0, -9, 4, -9, 2],
+]
+OVERRUN_8X8 = [
+    [4, 4, 9, -9, -6, 4, -2, 2],
+    [-3, 8, -1, -4, 6, -4, -6, 9],
+    [-8, -7, -4, 1, 7, -6, 5, -1],
+    [-2, -5, 5, 6, 8, 0, -2, -3],
+    [-6, 9, -9, -8, 6, 8, -6, -7],
+    [-4, -1, 5, 3, -1, -7, 3, -9],
+    [1, -4, -3, 1, 8, -6, 0, -9],
+    [9, 5, -2, 4, 0, 9, 9, 3],
+]
+
+
+@pytest.mark.parametrize("rows, diagonal", [
+    (OVERRUN_7X7, (1, 1, 1, 1, 1, 2, 472800)),
+    (OVERRUN_8X8, (1, 1, 1, 1, 1, 1, 1, 718604128)),
+])
+def test_smith_overrun_regressions(rows, diagonal):
+    m = IntMatrix.from_rows(rows)
+    smith = smith_normal_form(m)
+    assert smith.diagonal == diagonal
+    assert smith.left * m * smith.right == smith.diagonal_matrix(m.rows, m.cols)
+    assert abs(det_exact(smith.left)) == 1
+    assert abs(det_exact(smith.right)) == 1
+    entries = smith.left.entries + smith.right.entries
+    assert max(abs(e).bit_length() for e in entries) < 256
+
+
+@st.composite
+def integer_matrices(draw, square=False):
+    """Matrices up to 8x8; with 3+ rows, sometimes one row is the sum of two others."""
+    r = draw(st.integers(min_value=1, max_value=8))
+    c = r if square else draw(st.integers(min_value=1, max_value=8))
+    rows = draw(st.lists(
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=c, max_size=c),
+        min_size=r, max_size=r,
+    ))
+    if r >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(r)))[:3]
+        rows[k] = [x + y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+def assert_smith_form_against_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    m = IntMatrix.from_rows(rows)
+    smith = smith_normal_form(m)
+    assert smith.left * m * smith.right == smith.diagonal_matrix(m.rows, m.cols)
+    assert abs(det_exact(smith.left)) == 1
+    assert abs(det_exact(smith.right)) == 1
+    diag = smith.diagonal
+    assert all(d >= 0 for d in diag)
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+    theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+    assert sorted(abs(int(theirs[i, i])) for i in range(len(diag))) == sorted(diag)
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_matrices(square=True))
+def test_smith_square_matches_sympy(rows):
+    assert_smith_form_against_sympy(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_matrices())
+def test_smith_rectangular_and_rank_deficient_match_sympy(rows):
+    assert_smith_form_against_sympy(rows)
+
+
 # -- localized invertibility ---------------------------------------------------------
+
+
+def test_prime_factors():
+    assert prime_factors(0) == ()
+    assert prime_factors(1) == ()
+    assert prime_factors(-360) == (2, 3, 5)
+    assert prime_factors(97) == (97,)
+    assert prime_factors(2 * 3 * 101 ** 2) == (2, 3, 101)
+
+
+def test_is_prime_matches_divisor_count():
+    for n in range(-3, 300):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        assert is_prime(n) == (divisors == [1, n] and n > 1)
 
 
 def test_localization_gram():

@@ -84,6 +84,14 @@ def test_weight_three_differentials():
     assert arrows == {((2, 2), (4, 1)): 1, ((2, 3), (4, 2)): 2}
 
 
+def test_equal_pages_hash_equal():
+    for n, j in ((3, 1), (3, 2), (3, 3), (5, 3)):
+        page, again = build_e2(n, j), build_e2(n, j)
+        assert page == again
+        assert hash(page) == hash(again)
+    assert len({build_e2(3, 1), build_e2(3, 1), build_e2(3, 2)}) == 2
+
+
 def test_support_is_within_weight():
     for n in (2, 3, 5):
         for j in (1, 2, 3):
