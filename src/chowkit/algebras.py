@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from .exact import Poly, is_prime, row_echelon
@@ -224,9 +225,12 @@ class SplitAlgebra:
                         for r in range(self.n))
 
     def mat_mul(self, x, y) -> tuple:
-        n = self.n
-        out = [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        return self.matrix(out)
+        n, p = self.n, self.p
+        out = tuple(tuple(sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n))
+                    for i in range(n))
+        if p is not None:
+            out = tuple(tuple(v % p for v in row) for row in out)
+        return out
 
     def _rank(self, rows) -> int:
         if self.p is None:
@@ -256,14 +260,16 @@ def independent_left_ideal(alg: SplitAlgebra, elements) -> bool:
     elements = tuple(elements)
     if not elements:
         raise EmptyTupleError("independence of an empty tuple")
-    rows = []
-    for e in elements:
-        e = alg.matrix(e)
-        for i in range(alg.n):
-            for j in range(alg.n):
-                prod_ = alg.mat_mul(alg.unit_matrix(i, j), e)
-                rows.append([v for row in prod_ for v in row])
+    rows = [row for e in elements for row in _left_translates(alg, alg.matrix(e))]
     return alg._rank(rows) == alg.n * alg.n
+
+
+@lru_cache(maxsize=1024)
+def _left_translates(alg: SplitAlgebra, e: tuple) -> tuple:
+    """The n^2 flattened products u * e, u running over the matrix units."""
+    n = alg.n
+    return tuple(tuple(v for row in alg.mat_mul(alg.unit_matrix(i, j), e) for v in row)
+                 for i in range(n) for j in range(n))
 
 
 def quat_independent(elements) -> bool:
@@ -308,11 +314,6 @@ def subspaces(n: int, k: int, p: int):
             yield tuple(tuple(r) for r in rows)
 
 
-def _in_span(alg: SplitAlgebra, basis_rows, vector) -> bool:
-    base = [list(r) for r in basis_rows]
-    return alg._rank(base + [list(vector)]) == alg._rank(base)
-
-
 @dataclass(frozen=True)
 class RightIdeal:
     """A right ideal of M_n(F_p) of rank k*n, recorded by its column space."""
@@ -326,8 +327,10 @@ def enumerate_right_ideals(alg: SplitAlgebra, k: int):
 
     The ideal attached to U consists of the matrices whose columns lie in U;
     a basis is {u e_j^T}.  Each candidate is verified to be closed under right
-    multiplication by all matrix units before being counted.  Returns
-    (count, ideals) with the ideals sorted by their subspace basis.
+    multiplication by all matrix units before being counted, with one rank
+    comparison per candidate: appending every such product to the basis must
+    leave its rank unchanged.  Returns (count, ideals) with the ideals sorted
+    by their subspace basis.
     """
     if alg.p is None:
         raise TooLargeError("ideal enumeration needs a finite base field")
@@ -344,11 +347,9 @@ def enumerate_right_ideals(alg: SplitAlgebra, k: int):
                 mats.append(tuple(tuple(u[r] if c == j else 0 for c in range(n))
                                   for r in range(n)))
         flat = [[v for row in mat for v in row] for mat in mats]
-        for mat in mats:
-            for i in range(n):
-                for j in range(n):
-                    prod_ = alg.mat_mul(mat, alg.unit_matrix(i, j))
-                    if not _in_span(alg, flat, [v for row in prod_ for v in row]):
-                        raise AssertionError("candidate is not a right ideal")
+        products = [[v for row in alg.mat_mul(mat, alg.unit_matrix(i, j)) for v in row]
+                    for mat in mats for i in range(n) for j in range(n)]
+        if alg._rank(flat + products) != alg._rank(flat):
+            raise AssertionError("candidate is not a right ideal")
         ideals.append(RightIdeal(basis, tuple(mats)))
     return len(ideals), tuple(ideals)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 
@@ -46,6 +47,13 @@ class Poly:
     sorted by name.  The canonical form stores no zero coefficients and no
     unused variables, so structural equality is ring equality.  Term order is
     graded lexicographic throughout (printing, leading terms, division).
+
+    The public constructor validates and canonicalizes whatever it is given.
+    Results built inside the class go through ``_trusted`` instead, which
+    relies on this invariant of its inputs: the variables are sorted by name
+    and every exponent vector is a tuple of ints, one per variable.  It only
+    drops zero coefficients and unused variables and turns integral Fractions
+    into ints.
     """
 
     __slots__ = ("variables", "terms")
@@ -62,18 +70,39 @@ class Poly:
                 if len(exps) != len(variables) or any(e < 0 for e in exps):
                     raise ValueError("exponent vector does not match variable list")
                 cleaned[exps] = cleaned.get(exps, 0) + coeff
-            cleaned = {e: c for e, c in cleaned.items() if c != 0}
-        # Drop variables that never occur, so x+0*y == x structurally, and
-        # sort the rest by name, so the caller's listing order does not count.
-        if variables and cleaned:
-            used = [i for i in range(len(variables)) if any(e[i] for e in cleaned)]
-            if len(used) != len(variables) or sorted(variables) != list(variables):
-                used.sort(key=variables.__getitem__)
+        # Sort the variables by name, so the caller's listing order does not
+        # count; _store then drops zero sums and unused variables, so
+        # x+0*y == x structurally.
+        order = sorted(range(len(variables)), key=variables.__getitem__)
+        if order != list(range(len(variables))):
+            variables = tuple(variables[i] for i in order)
+            cleaned = {tuple(e[i] for i in order): c for e, c in cleaned.items()}
+        self._store(variables, cleaned)
+
+    @classmethod
+    def _trusted(cls, variables: tuple, terms: dict) -> "Poly":
+        """Canonical Poly from terms whose variables and exponents are already canonical."""
+        poly = object.__new__(cls)
+        poly._store(variables, terms)
+        return poly
+
+    def _store(self, variables: tuple, terms: dict):
+        # Needs variables sorted by name and int exponent tuples of matching
+        # length; drops zero coefficients and unused variables and turns
+        # integral Fractions into ints.
+        cleaned = {}
+        for exps, coeff in terms.items():
+            if coeff:
+                if type(coeff) is Fraction and coeff.denominator == 1:
+                    coeff = coeff.numerator
+                cleaned[exps] = coeff
+        if not cleaned:
+            variables = ()
+        elif variables:
+            used = [i for i, col in enumerate(zip(*cleaned)) if any(col)]
+            if len(used) != len(variables):
                 variables = tuple(variables[i] for i in used)
                 cleaned = {tuple(e[i] for i in used): c for e, c in cleaned.items()}
-        elif not cleaned:
-            variables = ()
-            cleaned = {}
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", cleaned)
 
@@ -115,6 +144,8 @@ class Poly:
         merged = tuple(sorted(set(p.variables) | set(q.variables)))
 
         def remap(poly):
+            if poly.variables == merged:
+                return poly.terms
             idx = [merged.index(v) for v in poly.variables]
             out = {}
             for exps, c in poly.terms.items():
@@ -134,12 +165,12 @@ class Poly:
         out = dict(a)
         for exps, c in b.items():
             out[exps] = out.get(exps, 0) + c
-        return Poly(variables, out)
+        return Poly._trusted(variables, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.variables, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -153,9 +184,9 @@ class Poly:
         out = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
+                key = tuple(map(add, ea, eb))
                 out[key] = out.get(key, 0) + ca * cb
-        return Poly(variables, out)
+        return Poly._trusted(variables, out)
 
     __rmul__ = __mul__
 
@@ -222,7 +253,7 @@ class Poly:
             if exps[i] == power:
                 key = exps[:i] + exps[i + 1:]
                 out[key] = out.get(key, 0) + c
-        return Poly(rest, out)
+        return Poly._trusted(rest, out)
 
     def map_coefficients(self, fn) -> "Poly":
         return Poly(self.variables, {e: fn(c) for e, c in self.terms.items()})
@@ -261,13 +292,13 @@ class Poly:
             c = _norm_coeff(Fraction(rem[lead]) / Fraction(cb))
             quotient[exps] = quotient.get(exps, 0) + c
             for eb, vb in b.items():
-                key = tuple(x + y for x, y in zip(exps, eb))
+                key = tuple(map(add, exps, eb))
                 nv = rem.get(key, 0) - c * vb
                 if nv:
                     rem[key] = nv
                 else:
                     rem.pop(key, None)
-        return Poly(variables, quotient)
+        return Poly._trusted(variables, quotient)
 
     # -- printing -----------------------------------------------------------
 

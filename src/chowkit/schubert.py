@@ -209,25 +209,32 @@ def pieri(c: GrChowClass) -> GrChowClass:
     return GrChowClass(c.k, c.n, c.codim + 1, out)
 
 
+def _alternant(exponents: tuple) -> Poly:
+    """det(x_i^(e_j)) over the variables x1..x_len(exponents)."""
+    nvars = len(exponents)
+    return det_expansion([[Poly((f"x{i + 1}",), {(e,): 1}) for e in exponents]
+                          for i in range(nvars)])
+
+
+@lru_cache(maxsize=None)
+def _vandermonde(nvars: int) -> Poly:
+    return _alternant(tuple(range(nvars - 1, -1, -1)))
+
+
 @lru_cache(maxsize=None)
 def schur_poly(parts: tuple, nvars: int) -> Poly:
     """Schur polynomial s_parts(x1..x_nvars) by the bialternant ratio.
 
     Numerator det(x_i^(lambda_j + n - j)) divided exactly by the Vandermonde
-    determinant; exact polynomial division, no rational functions.
+    determinant (computed once per nvars); exact polynomial division, no
+    rational functions.
     """
     parts = normalize_partition(parts)
     if len(parts) > nvars:
         return Poly.zero()
     padded = tuple(parts) + (0,) * (nvars - len(parts))
-    xs = [Poly.var(f"x{i + 1}") for i in range(nvars)]
-    numerator = det_expansion(
-        [[xs[i] ** (padded[j] + nvars - 1 - j) for j in range(nvars)] for i in range(nvars)]
-    )
-    vandermonde = det_expansion(
-        [[xs[i] ** (nvars - 1 - j) for j in range(nvars)] for i in range(nvars)]
-    )
-    return numerator.divexact(vandermonde)
+    numerator = _alternant(tuple(padded[j] + nvars - 1 - j for j in range(nvars)))
+    return numerator.divexact(_vandermonde(nvars))
 
 
 def _schur_expand(poly: Poly, nvars: int) -> dict:

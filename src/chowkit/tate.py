@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -39,15 +40,32 @@ def index_weight(index) -> int:
 def enumerate_multi_indices(n: int, weight: int | None = None):
     """Strictly increasing subsets of {1..n}, by length then lexicographic.
 
-    With a weight filter, only subsets with element sum equal to weight.
+    With a weight filter, only subsets with element sum equal to weight,
+    generated directly as the partitions of weight into distinct parts <= n.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
+    if weight is None:
+        return [combo for r in range(n + 1) for combo in combinations(range(1, n + 1), r)]
     out = []
+
+    def extend(prefix, low, left, rest):
+        # Append to prefix `left` more entries from low..n summing to rest.
+        if left == 0:
+            if rest == 0:
+                out.append(tuple(prefix))
+            return
+        if n * left - left * (left - 1) // 2 < rest:  # largest sum: n, n-1, ...
+            return
+        for first in range(low, n - left + 2):
+            if first * left + left * (left - 1) // 2 > rest:  # smallest: first, first+1, ...
+                break
+            prefix.append(first)
+            extend(prefix, first + 1, left - 1, rest - first)
+            prefix.pop()
+
     for r in range(n + 1):
-        for combo in combinations(range(1, n + 1), r):
-            if weight is None or index_weight(combo) == weight:
-                out.append(combo)
+        extend([], 1, r, weight)
     return out
 
 
@@ -277,12 +295,14 @@ def chern_twist_product(index, sign_flip: bool = False) -> ChernExpr:
     """
     result = ChernExpr.unit()
     for j in index:
-        factor = chern_twist(j)
-        if sign_flip:
-            factor = factor.map_polys(
-                lambda p: p.substitute({LAMBDA: -Poly.var(LAMBDA)}))
-        result = result * factor
+        result = result * (_flipped_twist(j) if sign_flip else chern_twist(j))
     return result
+
+
+@lru_cache(maxsize=64)
+def _flipped_twist(k: int) -> ChernExpr:
+    """chern_twist(k) under lambda -> -lambda, built once per k."""
+    return chern_twist(k).map_polys(lambda p: p.substitute({LAMBDA: -Poly.var(LAMBDA)}))
 
 
 # -- the second differential ---------------------------------------------------

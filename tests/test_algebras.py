@@ -1,5 +1,7 @@
 """Quaternion arithmetic, independence predicates and ideal enumeration."""
 
+import random
+
 import pytest
 
 from chowkit.algebras import (
@@ -20,6 +22,7 @@ from chowkit.algebras import (
     trd,
 )
 from chowkit.exact import Poly
+from chowkit.schubert import point_count
 
 
 # -- independent oracles ----------------------------------------------------------
@@ -173,6 +176,55 @@ def test_independence_routes_agree_exhaustively():
             assert independent(m2, (x, y)) == independent_left_ideal(m2, (x, y))
 
 
+def _random_tuple(rng, n, size, low, high):
+    """`size` random n x n integer matrices; half the time they share a kernel vector.
+
+    Each shared-kernel matrix is t_k * A - (A t) e_k^T for a random A and a
+    fixed nonzero t with t_k != 0, so it sends t to zero over any ring.
+    """
+    mats = [[[rng.randint(low, high) for _ in range(n)] for _ in range(n)]
+            for _ in range(size)]
+    if rng.random() < 0.5:
+        return tuple(mats)
+    t = [rng.randint(low, high) for _ in range(n)]
+    k = rng.randrange(n)
+    t[k] = t[k] or 1
+    shared = []
+    for a in mats:
+        at = [sum(a[i][j] * t[j] for j in range(n)) for i in range(n)]
+        shared.append([[t[k] * a[i][j] - (at[i] if j == k else 0) for j in range(n)]
+                       for i in range(n)])
+    return tuple(shared)
+
+
+def test_independence_routes_agree_on_pairs_over_f3():
+    m2 = SplitAlgebra(2, 3)
+    elements = list(m2.all_elements())
+    assert len(elements) == 81
+    verdicts = set()
+    for x in elements:
+        for y in elements:
+            verdict = independent(m2, (x, y))
+            assert verdict == independent_left_ideal(m2, (x, y))
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("alg, size, low, high", [
+    (SplitAlgebra(3, 2), 3, 0, 1),       # seeded triples in M_3(F_2)
+    (SplitAlgebra(2, None), 2, -3, 3),   # seeded integer pairs in M_2(Q)
+])
+def test_independence_routes_agree_on_seeded_tuples(alg, size, low, high):
+    rng = random.Random(20121)
+    verdicts = set()
+    for _ in range(300):
+        elements = _random_tuple(rng, alg.n, size, low, high)
+        verdict = independent(alg, elements)
+        assert verdict == independent_left_ideal(alg, elements)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_independence_empty_tuple():
     m2 = SplitAlgebra(2, 2)
     with pytest.raises(EmptyTupleError):
@@ -209,6 +261,14 @@ def test_ideal_counts_match_gaussian_binomials():
             for k in range(n + 1):
                 count, _ = enumerate_right_ideals(SplitAlgebra(n, q), k)
                 assert count == gaussian_binomial(n, k, q)
+
+
+def test_ideal_counts_equal_point_counts():
+    for q in (2, 3):
+        for n in (1, 2, 3):
+            for k in range(n + 1):
+                count, ideals = enumerate_right_ideals(SplitAlgebra(n, q), k)
+                assert count == len(ideals) == point_count(k, n, q)
 
 
 def test_ideal_bases_have_expected_rank():

@@ -1,10 +1,14 @@
 """Command-line driver: reports, exit codes, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 from click.testing import CliRunner
 
 from chowkit.cli import main
+
+GOLDEN_VERIFY_ALL = Path(__file__).parent / "golden" / "verify_all.json"
 
 
 def run(*args):
@@ -137,3 +141,14 @@ def test_more_usage_errors_exit_two():
     assert run("glmotive", "--n", "0").exit_code == 2
     assert run("witt", "--form", "1,0,-1").exit_code == 2
     assert run("plucker", "--a", "0", "--b", "3").exit_code == 2
+
+
+def test_verify_all_json_is_byte_identical_to_golden():
+    golden = GOLDEN_VERIFY_ALL.read_bytes()
+    # The hash pins the golden file itself, so regenerating it from changed
+    # output cannot hide the change.
+    assert hashlib.sha256(golden).hexdigest() == \
+        "b56d2a9d44e259e353ff183c51408af99a801bcffd6515e3ddf62a59613c2026"
+    result = run("verify", "all", "--json")
+    assert result.exit_code == 0
+    assert result.stdout_bytes == golden

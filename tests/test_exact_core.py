@@ -168,6 +168,65 @@ def test_divexact_inverts_multiplication(p, q):
     assert (p * q).divexact(q) == p
 
 
+def _assert_canonical(r: Poly):
+    """r is what the validating constructor makes of its own parts."""
+    again = Poly(r.variables, r.terms)
+    typed = {e: (type(c), c) for e, c in r.terms.items()}
+    assert r.variables == again.variables
+    assert typed == {e: (type(c), c) for e, c in again.terms.items()}
+    assert hash(r) == hash(again)
+    assert r.variables == tuple(sorted(r.variables))
+    for exps in r.terms:
+        assert len(exps) == len(r.variables) and all(type(e) is int for e in exps)
+    assert all(any(e[i] for e in r.terms) for i in range(len(r.variables)))
+
+
+# Names whose string order differs from their numeric order (x10 < x2).
+mixed_names = ("x", "y", "x2", "x10", "lam")
+exact_coeffs = st.one_of(
+    small_coeffs,
+    st.builds(Fraction, st.integers(min_value=-6, max_value=6),
+              st.sampled_from([1, 2, 3])),
+)
+
+
+@st.composite
+def mixed_polys(draw):
+    names = draw(st.permutations(mixed_names))[:draw(st.integers(min_value=0, max_value=4))]
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        exps = tuple(draw(st.integers(min_value=0, max_value=2)) for _ in names)
+        terms[exps] = draw(exact_coeffs)
+    return Poly(names, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_polys(), mixed_polys(), st.sampled_from(mixed_names), st.integers(0, 2))
+def test_internal_arithmetic_results_are_canonical(p, q, name, power):
+    for r in (p + q, p - q, p * q, -p, p.coefficient(name, power)):
+        _assert_canonical(r)
+    if not q.is_zero:
+        quotient = (p * q).divexact(q)
+        _assert_canonical(quotient)
+        assert quotient == p
+
+
+def test_internal_arithmetic_edge_cases():
+    x, y, x2, x10 = Poly.variables_of("x", "y", "x2", "x10")
+    cancelled = x + y - y
+    assert cancelled.variables == ("x",)
+    _assert_canonical(cancelled)
+    assert (x2 * x10).variables == ("x10", "x2")
+    assert (x2 + x10).coefficient("x10", 0).variables == ("x2",)
+    half = Fraction(1, 2) * x
+    assert (half + half).terms == {(1,): 1}
+    assert type((half + half).terms[(1,)]) is int
+    assert type((Fraction(2, 3) * x * Fraction(3, 2)).terms[(1,)]) is int
+    assert (x * y - y * x).variables == ()
+    for r in (half + half, x2 * x10, (x * y).divexact(y), -(x - x)):
+        _assert_canonical(r)
+
+
 # -- determinants ----------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Multi-index patterns, Chern twist expansions and the d2 matrix."""
 
+from itertools import combinations
+
 import pytest
 
 from chowkit.exact import Poly
@@ -35,6 +37,17 @@ def test_enumeration_order_by_length_then_lex():
 def test_enumeration_total_is_power_of_two():
     for n in range(1, 7):
         assert len(enumerate_multi_indices(n)) == 2 ** n
+
+
+def test_weighted_enumeration_matches_subset_filter():
+    # The weighted enumeration builds the subsets directly; filtering every
+    # subset of {1..n} by its sum is the reference, order included.
+    for n in range(1, 14):
+        subsets = [c for r in range(n + 1) for c in combinations(range(1, n + 1), r)]
+        assert enumerate_multi_indices(n) == subsets
+        for weight in range(-1, max_weight(n) + 2):
+            expected = [c for c in subsets if sum(c) == weight]
+            assert enumerate_multi_indices(n, weight=weight) == expected
 
 
 def test_multi_index_formatting():
