@@ -366,7 +366,10 @@ def tateiso_command(inverted, as_json):
     """Invertibility of the pairing matrix of the standard collection."""
     primes = set(inverted)
     matrix = pairing_matrix(standard_collection())
-    ok = tate_iso_check(standard_collection(), primes)
+    try:
+        ok = tate_iso_check(standard_collection(), primes)
+    except ValueError as err:
+        raise click.UsageError(str(err))
     collection = [{"codim": c, "class": str(cls)} for c, cls in standard_collection()]
     report = Report("tateiso", {"invert": sorted(primes)},
                     "pass" if ok else "fail",

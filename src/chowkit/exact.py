@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from operator import add
+from itertools import chain, permutations
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 
@@ -369,12 +369,21 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        entries = tuple(int(e) for e in entries)
+        entries = tuple(map(int, entries))
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: tuple) -> "IntMatrix":
+        # Internal results only: ``entries`` is already a tuple of rows*cols ints.
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -385,7 +394,7 @@ class IntMatrix:
         cols = len(data[0]) if rows else 0
         if any(len(r) != cols for r in data):
             raise ValueError("ragged rows")
-        return cls(rows, cols, [e for r in data for e in r])
+        return cls(rows, cols, chain.from_iterable(data))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -405,19 +414,17 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows,
-            [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
+        cols, entries = self.cols, self.entries
+        return IntMatrix._trusted(
+            cols, self.rows, tuple(chain.from_iterable(entries[j::cols] for j in range(cols))))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                out.append(sum(self.entry(i, k) * other.entry(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, out)
+        rows = [self.row(i) for i in range(self.rows)]
+        columns = [other.entries[j::other.cols] for j in range(other.cols)]
+        return IntMatrix._trusted(self.rows, other.cols, tuple(
+            sum(map(mul, row, col)) for row in rows for col in columns))
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
@@ -445,6 +452,8 @@ def det_exact(m: IntMatrix) -> int:
     a = m.to_lists()
     sign = 1
     prev = 1
+    # Plain loops over hoisted rows: before Python 3.12 a comprehension is a
+    # function call, which costs more than it saves on rows this short.
     for k in range(n - 1):
         if a[k][k] == 0:
             for i in range(k + 1, n):
@@ -454,11 +463,15 @@ def det_exact(m: IntMatrix) -> int:
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+        top = a[k]
+        pivot = top[k]
+        rest = range(k + 1, n)
+        for i in rest:
+            row = a[i]
+            f = row[k]
+            for j in rest:
+                row[j] = (row[j] * pivot - f * top[j]) // prev
+        prev = pivot
     return sign * a[n - 1][n - 1]
 
 
@@ -517,15 +530,13 @@ class SmithForm:
         return IntMatrix.from_rows(out) if rows else IntMatrix(0, cols, [])
 
 
-def _unimodular_step(x: int, y: int):
-    """(p, q, s, u) with p*u - q*s == 1 taking the pair (x, y) to (g, 0); x != 0.
+def _bezout_step(x: int, y: int):
+    """(p, q, s, u) with p*u - q*s == 1 taking (x, y) to (g, 0), for x not dividing y.
 
-    A plain elimination (1, 0, -y/x, 1) when x divides y.  Otherwise the
-    Bezout step (s, u, -y/g, x/g), where s*x + u*y = g = gcd(x, y) > 0 come
-    from the extended Euclidean recurrence, so |s| <= |y|/g and |u| <= |x|/g.
+    This is (s, u, -y/g, x/g), where s*x + u*y = g = gcd(x, y) > 0 come from
+    the extended Euclidean recurrence, so |s| <= |y|/g and |u| <= |x|/g.  When
+    x divides y, callers eliminate with (1, 0, -y/x, 1) themselves.
     """
-    if y % x == 0:
-        return 1, 0, -(y // x), 1
     r0, r1, s0, s1, u0, u1 = x, y, 1, 0, 0, 1
     while r1:
         q = r0 // r1
@@ -541,102 +552,137 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Smith normal form over the integers with transform tracking.
 
     Position t takes the entry of least absolute value in the remaining block
-    as its pivot x.  Every nonzero y below x (or beside it) is then cleared:
-    by subtracting y/x times the pivot row (column) when x divides y, and
-    otherwise by the unimodular Bezout step [[s, u], [-y/g, x/g]] on the two
-    rows (columns), where s*x + u*y = g = gcd(x, y).  That step puts g at the
-    pivot and 0 in place of y.  When the cleared pivot fails to divide some
-    entry of the block, the offending row is added to row t and the clearing
-    runs again.  Each Bezout step replaces x by a proper divisor, so |x|
-    strictly falls at every non-trivial pass and the loop ends after at most
-    log2|x| of them per position.  The Bezout coefficients are bounded by
-    |y|/g and |x|/g, which keeps the transforms moderate: over 1,000 random
-    8x8 matrices with entries in [-9, 9] their entries had a median of 90 and
-    a maximum of 289 bits (12x12: median 343), where remainder-and-swap
-    pivoting had left 7x7 transforms with over 200,000-bit entries.
+    as its pivot x (the first such entry in row-major order).  Every nonzero
+    y below x (or beside it) is then cleared: by subtracting y/x times the
+    pivot row (column) when x divides y, and otherwise by the unimodular
+    Bezout step [[s, u], [-y/g, x/g]] on the two rows (columns), where
+    s*x + u*y = g = gcd(x, y).  That step puts g at the pivot and 0 in place
+    of y.  When the cleared pivot fails to divide some entry of the block, the
+    offending row is added to row t and the clearing runs again.  Each Bezout
+    step replaces x by a proper divisor, so |x| strictly falls at every
+    non-trivial pass and the loop ends after at most log2|x| of them per
+    position.  The Bezout coefficients are bounded by |y|/g and |x|/g, which
+    keeps the transforms moderate: over 1,000 random 8x8 matrices with entries
+    in [-9, 9] their entries had a median of 90 and a maximum of 289 bits
+    (12x12: median 343), where remainder-and-swap pivoting had left 7x7
+    transforms with over 200,000-bit entries.
+
+    Storage follows the steps.  Row i of the matrix and row i of ``left`` are
+    one augmented list, so a row step is one comprehension over both.
+    ``right`` is kept transposed, so a column step on it is one comprehension
+    too; it is transposed back once at the end.  Rows and columns before t
+    are clear in the block, so a column step touches only rows t and below,
+    and a plain column elimination while column t is still clear below the
+    pivot changes only the entry beside it.  A sweep repeats only after a
+    Bezout column step, since any other sweep leaves both lines clear, and a
+    unit pivot skips the divisibility scan.  None of this changes a step: the
+    outputs are those of the same unimodular operations on the full matrices.
     """
     r, c = m.rows, m.cols
-    a = m.to_lists()
-    left = [[int(i == j) for j in range(r)] for i in range(r)]
-    right = [[int(i == j) for j in range(c)] for i in range(c)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def combine_rows(i, j, p, q, s, u):
-        # (row_i, row_j) := (p*row_i + q*row_j, s*row_i + u*row_j)
-        for mat in (a, left):
-            x, y = mat[i], mat[j]
-            if (p, q) != (1, 0):
-                mat[i] = [p * v + q * w for v, w in zip(x, y)]
-            mat[j] = [s * v + u * w for v, w in zip(x, y)]
-
-    def combine_cols(i, j, p, q, s, u):
-        # (col_i, col_j) := (p*col_i + q*col_j, s*col_i + u*col_j)
-        if (p, q) == (1, 0):
-            for mat in (a, right):
-                for row in mat:
-                    row[j] = s * row[i] + u * row[j]
-            return
-        for mat in (a, right):
-            for row in mat:
-                v, w = row[i], row[j]
-                row[i], row[j] = p * v + q * w, s * v + u * w
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
+    aug = [row + [0] * r for row in m.to_lists()]
+    for i in range(r):
+        aug[i][c + i] = 1
+    right_t = [[0] * c for _ in range(c)]
+    for j in range(c):
+        right_t[j][j] = 1
 
     t = 0
     limit = min(r, c)
     while t < limit:
-        pivot = None
-        best = None
+        # Pivot: the first entry of least absolute value; a unit ends the search.
+        best = 0
+        pi = pj = t
         for i in range(t, r):
+            row = aug[i]
             for j in range(t, c):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
+                v = row[j]
+                if v:
+                    if v < 0:
+                        v = -v
+                    if not best or v < best:
+                        best, pi, pj = v, i, j
+                        if v == 1:
+                            break
+            if best == 1:
+                break
+        if not best:
             break
-        if pivot[0] != t:
-            swap_rows(pivot[0], t)
-        if pivot[1] != t:
-            swap_cols(pivot[1], t)
+        if pi != t:
+            aug[pi], aug[t] = aug[t], aug[pi]
+        if pj != t:
+            for i in range(t, r):
+                row = aug[i]
+                row[pj], row[t] = row[t], row[pj]
+            right_t[pj], right_t[t] = right_t[t], right_t[pj]
 
         while True:
             # A Bezout step on columns can refill column t, so sweep again
-            # until a sweep takes none; such a sweep leaves both lines clear.
-            x = None
-            while a[t][t] != x:
-                x = a[t][t]
+            # while a column sweep takes one.  Otherwise both lines are clear.
+            refilled = True
+            while refilled:
                 for i in range(t + 1, r):
-                    if a[i][t]:
-                        combine_rows(t, i, *_unimodular_step(a[t][t], a[i][t]))
+                    y = aug[i][t]
+                    if y:
+                        top, row = aug[t], aug[i]
+                        x = top[t]
+                        if y % x == 0:
+                            s = -(y // x)
+                            aug[i] = [s * v + w for v, w in zip(top, row)]
+                        else:
+                            p, q, s, u = _bezout_step(x, y)
+                            aug[t] = [p * v + q * w for v, w in zip(top, row)]
+                            aug[i] = [s * v + u * w for v, w in zip(top, row)]
+                # Column t is clear below the pivot until a Bezout step refills it.
+                refilled = False
+                top = aug[t]
                 for j in range(t + 1, c):
-                    if a[t][j]:
-                        combine_cols(t, j, *_unimodular_step(a[t][t], a[t][j]))
+                    y = top[j]
+                    if y:
+                        x = top[t]
+                        if y % x == 0:
+                            s = -(y // x)
+                            if refilled:
+                                for i in range(t, r):
+                                    row = aug[i]
+                                    row[j] += s * row[t]
+                            else:
+                                top[j] = 0
+                            right_t[j] = [s * v + w for v, w in zip(right_t[t], right_t[j])]
+                        else:
+                            p, q, s, u = _bezout_step(x, y)
+                            for i in range(t, r):
+                                row = aug[i]
+                                v, w = row[t], row[j]
+                                row[t], row[j] = p * v + q * w, s * v + u * w
+                            col_t, col_j = right_t[t], right_t[j]
+                            right_t[t] = [p * v + q * w for v, w in zip(col_t, col_j)]
+                            right_t[j] = [s * v + u * w for v, w in zip(col_t, col_j)]
+                            refilled = True
 
-            # Divisibility: the pivot must divide the remaining block.
-            offender = next((i for i in range(t + 1, r)
-                             if any(v % a[t][t] for v in a[i][t + 1:])), None)
+            # Divisibility: the pivot must divide the remaining block.  A unit
+            # divides everything.
+            x = aug[t][t]
+            offender = None
+            if x != 1 and x != -1:
+                for i in range(t + 1, r):
+                    row = aug[i]
+                    for j in range(t + 1, c):
+                        if row[j] % x:
+                            offender = i
+                            break
+                    if offender is not None:
+                        break
             if offender is None:
                 break
-            combine_rows(offender, t, 1, 0, 1, 1)  # row_t += row_offender
-        if a[t][t] < 0:
-            negate_row(t)
+            aug[t] = [v + w for v, w in zip(aug[offender], aug[t])]  # row_t += row_offender
+        if aug[t][t] < 0:
+            aug[t] = [-v for v in aug[t]]
         t += 1
 
-    diagonal = tuple(a[i][i] for i in range(limit))
-    return SmithForm(diagonal, IntMatrix.from_rows(left) if r else IntMatrix(0, 0, []),
-                     IntMatrix.from_rows(right) if c else IntMatrix(0, 0, []))
+    diagonal = tuple(aug[i][i] for i in range(limit))
+    left = IntMatrix._trusted(r, r, tuple(chain.from_iterable(row[c:] for row in aug)))
+    right = IntMatrix._trusted(c, c, tuple(chain.from_iterable(zip(*right_t))))
+    return SmithForm(diagonal, left, right)
 
 
 def prime_factors(n: int) -> tuple:

@@ -210,8 +210,10 @@ def pieri(c: GrChowClass) -> GrChowClass:
 
 
 def _alternant(exponents: tuple) -> Poly:
-    """det(x_i^(e_j)) over the variables x1..x_len(exponents)."""
+    """det(x_i^(e_j)) over the variables x1..x_len(exponents); 1 with none."""
     nvars = len(exponents)
+    if nvars == 0:
+        return Poly.const(1)  # det_expansion([]) is the int 1, not a Poly
     return det_expansion([[Poly((f"x{i + 1}",), {(e,): 1}) for e in exponents]
                           for i in range(nvars)])
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from chowkit.cli import main
@@ -141,6 +142,15 @@ def test_more_usage_errors_exit_two():
     assert run("glmotive", "--n", "0").exit_code == 2
     assert run("witt", "--form", "1,0,-1").exit_code == 2
     assert run("plucker", "--a", "0", "--b", "3").exit_code == 2
+
+
+@pytest.mark.parametrize("bad", ["0", "4", "-3"])
+def test_tateiso_nonprime_invert_is_a_usage_error(bad):
+    result = run("tateiso", "--invert", "2", "--invert", bad)
+    assert result.exit_code == 2, result.exception
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert f"{bad} is not prime" in result.output
 
 
 def test_verify_all_json_is_byte_identical_to_golden():

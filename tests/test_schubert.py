@@ -105,6 +105,16 @@ def test_pairing_codim_mismatch():
         duality_pairing(sch((1,)), sch((1,)))
 
 
+@pytest.mark.parametrize("k, n", [(0, 3), (3, 3), (0, 0)])
+def test_point_grassmannians(k, n):
+    # Gr(0, n) and Gr(n, n) are points: the one class is the fundamental
+    # class, its square is itself, and it pairs to 1 with itself.
+    point = GrChowClass.schubert(k, n, ())
+    assert schur_product(point, point) == point
+    assert duality_pairing(point, point) == 1
+    assert pieri(point).is_zero
+
+
 def test_full_basis_pairing_is_a_permutation_matrix():
     partitions = box_partitions(3, 3)
     matrix = []
