@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 
 from .exact import Poly, is_prime, row_echelon
 
@@ -84,6 +85,13 @@ class QuatElement:
         for v in (self.x, self.y, self.z, self.w):
             _check_scalar(v, "component")
 
+    @classmethod
+    def _trusted(cls, algebra: QuatAlgebra, x, y, z, w) -> "QuatElement":
+        """Ring results only: sums and products of checked components are scalars."""
+        u = object.__new__(cls)
+        u.__dict__.update(algebra=algebra, x=x, y=y, z=z, w=w)
+        return u
+
     def components(self):
         return (self.x, self.y, self.z, self.w)
 
@@ -93,16 +101,16 @@ class QuatElement:
 
     def __add__(self, other: "QuatElement") -> "QuatElement":
         self._same(other)
-        return QuatElement(self.algebra, self.x + other.x, self.y + other.y,
-                           self.z + other.z, self.w + other.w)
+        return QuatElement._trusted(self.algebra, self.x + other.x, self.y + other.y,
+                                    self.z + other.z, self.w + other.w)
 
     def __sub__(self, other: "QuatElement") -> "QuatElement":
         self._same(other)
-        return QuatElement(self.algebra, self.x - other.x, self.y - other.y,
-                           self.z - other.z, self.w - other.w)
+        return QuatElement._trusted(self.algebra, self.x - other.x, self.y - other.y,
+                                    self.z - other.z, self.w - other.w)
 
     def __neg__(self) -> "QuatElement":
-        return QuatElement(self.algebra, -self.x, -self.y, -self.z, -self.w)
+        return QuatElement._trusted(self.algebra, -self.x, -self.y, -self.z, -self.w)
 
     def __mul__(self, other):
         if isinstance(other, QuatElement):
@@ -124,7 +132,7 @@ def quat_mul(u: QuatElement, v: QuatElement) -> QuatElement:
     a, b = u.algebra.a, u.algebra.b
     x1, y1, z1, w1 = u.components()
     x2, y2, z2, w2 = v.components()
-    return QuatElement(
+    return QuatElement._trusted(
         u.algebra,
         x1 * x2 + a * y1 * y2 + b * z1 * z2 - a * b * w1 * w2,
         x1 * y2 + y1 * x2 - b * z1 * w2 + b * w1 * z2,
@@ -198,11 +206,10 @@ class SplitAlgebra:
             raise ValueError("base field order must be prime")
 
     def matrix(self, rows) -> tuple:
-        rows = tuple(tuple(v for v in row) for row in rows)
-        if len(rows) != self.n or any(len(r) != self.n for r in rows):
-            raise ValueError(f"expected an {self.n}x{self.n} matrix")
-        if self.p is not None:
-            rows = tuple(tuple(int(v) % self.p for v in row) for row in rows)
+        n, p = self.n, self.p
+        rows = tuple(tuple(v if p is None else int(v) % p for v in row) for row in rows)
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise ValueError(f"expected an {n}x{n} matrix")
         return rows
 
     def zero_matrix(self) -> tuple:
@@ -211,6 +218,7 @@ class SplitAlgebra:
     def identity_matrix(self) -> tuple:
         return self.matrix([[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)])
 
+    @lru_cache(maxsize=1024)
     def unit_matrix(self, i: int, j: int) -> tuple:
         return self.matrix([[1 if (r, c) == (i, j) else 0 for c in range(self.n)]
                             for r in range(self.n)])
@@ -225,12 +233,11 @@ class SplitAlgebra:
                         for r in range(self.n))
 
     def mat_mul(self, x, y) -> tuple:
-        n, p = self.n, self.p
-        out = tuple(tuple(sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n))
-                    for i in range(n))
-        if p is not None:
-            out = tuple(tuple(v % p for v in row) for row in out)
-        return out
+        cols = tuple(zip(*y))
+        p = self.p
+        if p is None:
+            return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in x)
+        return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in x)
 
     def _rank(self, rows) -> int:
         if self.p is None:

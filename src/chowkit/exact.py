@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from heapq import heapify, heappop, heappush
 from itertools import chain, permutations
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -219,11 +221,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def leading(self):
         """Leading (exponents, coefficient) pair in graded-lex order."""
         if not self.terms:
@@ -255,9 +252,6 @@ class Poly:
                 out[key] = out.get(key, 0) + c
         return Poly._trusted(rest, out)
 
-    def map_coefficients(self, fn) -> "Poly":
-        return Poly(self.variables, {e: fn(c) for e, c in self.terms.items()})
-
     def substitute(self, values: Mapping[str, object]) -> "Poly":
         """Substitute scalars or polynomials for variables; exact throughout."""
         result = Poly.zero()
@@ -275,29 +269,54 @@ class Poly:
         return result
 
     def divexact(self, other) -> "Poly":
-        """Exact quotient self/other; raises InexactDivisionError otherwise."""
+        """Exact quotient self/other; raises InexactDivisionError otherwise.
+
+        Heap division in grlex order (Monagan and Pearce, CASC 2007): exponent
+        vectors are packed, total degree first, into ints whose order is grlex
+        and whose sum is the monomial product.  Each step pops the leading
+        remainder term from a max-heap, skipping entries that have cancelled
+        since they were pushed, instead of scanning the whole remainder.
+        """
         other = self._coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         variables, a, b = self._aligned(self, other)
-        lead_b = max(b, key=_grlex) if b else ()
-        cb = b[lead_b]
+        radix = max(map(sum, chain(a, b))) + 1  # no remainder term has a higher degree
+
+        def pack(exps):
+            return reduce(lambda key, e: key * radix + e, exps, sum(exps))
+
+        lead_b = max(b, key=_grlex)
+        cb, top_b = b[lead_b], pack(lead_b)
+        tail = [(pack(e), v) for e, v in b.items() if e != lead_b]
+        rem = {pack(e): c for e, c in a.items()}
+        heap = [-key for key in rem]
+        heapify(heap)
         quotient = {}
-        rem = dict(a)
-        while rem:
-            lead = max(rem, key=_grlex)
-            exps = tuple(x - y for x, y in zip(lead, lead_b)) if variables else ()
+        while heap:
+            lead = -heappop(heap)
+            cr = rem.pop(lead, 0)
+            if not cr:
+                continue
+            digits, rest = [], lead
+            for _ in variables:
+                rest, e = divmod(rest, radix)
+                digits.append(e)
+            exps = tuple(map(sub, reversed(digits), lead_b))
             if any(e < 0 for e in exps):
                 raise InexactDivisionError("leading term is not divisible")
-            c = _norm_coeff(Fraction(rem[lead]) / Fraction(cb))
-            quotient[exps] = quotient.get(exps, 0) + c
-            for eb, vb in b.items():
-                key = tuple(map(add, exps, eb))
-                nv = rem.get(key, 0) - c * vb
+            c = quotient[exps] = _norm_coeff(Fraction(cr) / Fraction(cb))
+            step = lead - top_b
+            for kb, vb in tail:
+                key = step + kb
+                old = rem.get(key, 0)
+                nv = old - c * vb
                 if nv:
                     rem[key] = nv
-                else:
-                    rem.pop(key, None)
+                    if not old:
+                        heappush(heap, -key)
+                elif old:
+                    del rem[key]
         return Poly._trusted(variables, quotient)
 
     # -- printing -----------------------------------------------------------

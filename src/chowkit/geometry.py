@@ -29,6 +29,10 @@ class UnclassifiedChartError(ValueError):
 def _exact_div(value, divisor):
     if isinstance(value, Poly) or isinstance(divisor, Poly):
         return Poly._coerce(value).divexact(Poly._coerce(divisor))
+    if type(value) is int and type(divisor) is int:
+        quotient, remainder = divmod(value, divisor)
+        if not remainder:
+            return quotient
     out = Fraction(value) / Fraction(divisor)
     return int(out) if out.denominator == 1 else out
 

@@ -348,10 +348,6 @@ def rational_cycle(i: int) -> P2SectionClass:
     return P2SectionClass(total, comps)
 
 
-def rational_cycles():
-    return tuple(rational_cycle(i) for i in range(1, 6))
-
-
 def verify_cycle_recursion(i: int):
     """Check that hyperplane * cycle(i) is cycle(i+1) modulo 3.
 

@@ -3,16 +3,19 @@
 Basis classes are indexed by partitions inside the k x (n-k) box, written as
 plain tuples of weakly decreasing positive ints ((), (1,), (3, 2, 1), ...).
 Multiplication comes in two independent flavours: the Pieri rule (adding one
-box in all valid ways) and a Schur-polynomial product that expands the product
-of the corresponding Schur polynomials in k variables back into the Schur
-basis.  The pair doubles as a built-in cross-check.
+box in all valid ways) and a Schur route that reads each Littlewood-Richardson
+coefficient off alternants in k variables.  The Schur route needs only the
+Schur polynomial of the lighter factor, from exact bialternant division, and
+the k! signed permutations of the heavier one; it never calls Pieri.  The pair
+doubles as a built-in cross-check.
 """
-
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
+from operator import gt, sub
 
-from .exact import Poly, det_expansion
+from .exact import Poly
 
 
 class CodimMismatchError(ValueError):
@@ -209,13 +212,30 @@ def pieri(c: GrChowClass) -> GrChowClass:
     return GrChowClass(c.k, c.n, c.codim + 1, out)
 
 
+@lru_cache(maxsize=None)
+def _signed_permutations(k: int) -> tuple:
+    """(sign, w) for every permutation w of range(k), sign = (-1)^inversions."""
+    return tuple(
+        (-1 if sum(w[i] > w[j] for i in range(k) for j in range(i + 1, k)) % 2 else 1, w)
+        for w in permutations(range(k)))
+
+
 def _alternant(exponents: tuple) -> Poly:
-    """det(x_i^(e_j)) over the variables x1..x_len(exponents); 1 with none."""
-    nvars = len(exponents)
-    if nvars == 0:
-        return Poly.const(1)  # det_expansion([]) is the int 1, not a Poly
-    return det_expansion([[Poly((f"x{i + 1}",), {(e,): 1}) for e in exponents]
-                          for i in range(nvars)])
+    """det(x_i^(e_j)) over the variables x1..x_len(exponents); 1 with none.
+
+    Written out directly as the k! signed monomials x_1^(e_w(1))...x_k^(e_w(k)).
+    """
+    terms = {}
+    for sign, w in _signed_permutations(len(exponents)):
+        key = tuple(exponents[i] for i in w)
+        terms[key] = terms.get(key, 0) + sign
+    return Poly([f"x{i + 1}" for i in range(len(exponents))], terms)
+
+
+def _shifted(parts, k: int) -> tuple:
+    """parts + delta = (parts_1 + k-1, ..., parts_k + 0), padded to k entries."""
+    padded = tuple(parts) + (0,) * (k - len(parts))
+    return tuple(p + k - 1 - i for i, p in enumerate(padded))
 
 
 @lru_cache(maxsize=None)
@@ -234,43 +254,45 @@ def schur_poly(parts: tuple, nvars: int) -> Poly:
     parts = normalize_partition(parts)
     if len(parts) > nvars:
         return Poly.zero()
-    padded = tuple(parts) + (0,) * (nvars - len(parts))
-    numerator = _alternant(tuple(padded[j] + nvars - 1 - j for j in range(nvars)))
-    return numerator.divexact(_vandermonde(nvars))
-
-
-def _schur_expand(poly: Poly, nvars: int) -> dict:
-    """Expand a symmetric polynomial in the Schur basis of nvars variables."""
-    names = tuple(f"x{i + 1}" for i in range(nvars))
-    coeffs = {}
-    residue = poly
-    while not residue.is_zero:
-        exps, coeff = residue.leading()
-        by_name = dict(zip(residue.variables, exps))
-        padded = tuple(by_name.get(n, 0) for n in names)
-        parts = normalize_partition(padded)  # symmetric => leading exps sorted
-        coeffs[parts] = coeffs.get(parts, 0) + coeff
-        residue = residue - coeff * schur_poly(parts, nvars)
-    return coeffs
+    return _alternant(_shifted(parts, nvars)).divexact(_vandermonde(nvars))
 
 
 def schur_product(x: GrChowClass, y: GrChowClass) -> GrChowClass:
-    """Littlewood-Richardson product via Schur polynomials in k variables.
+    """Littlewood-Richardson product read off alternants in k variables.
 
-    Multiplies the Schur polynomials of the two classes, expands the result in
-    the Schur basis and drops partitions outside the box.  Independent of the
-    Pieri route by construction.
+    In k variables a_(lam+delta) * s_mu = sum_nu c^nu_(lam,mu) a_(nu+delta)
+    (Macdonald, Symmetric Functions and Hall Polynomials, ch. I, sections 3
+    and 5), and x^(nu+delta) is the only strictly decreasing monomial of
+    a_(nu+delta).  So c^nu_(lam,mu) is the coefficient of x^(nu+delta) on the
+    left:
+
+        c^nu = sum over w in S_k of sgn(w) [x^(nu+delta - w(lam+delta))] s_mu,
+
+    for every nu in the box of weight |lam| + |mu| that contains lam (the
+    coefficient vanishes otherwise); partitions outside the box are never
+    formed.  s_mu, of the lighter factor, comes from the exact bialternant
+    division of ``schur_poly``, so the route never calls Pieri.
     """
     x._same_space(y)
     k, cols = x.k, x.n - x.k
-    prod_poly = Poly.zero()
+    targets = [(nu, _shifted(nu, k)) for nu in box_partitions(k, cols, x.codim + y.codim)]
+    signed = _signed_permutations(k)
+    out = {}
     for p1, c1 in x.terms.items():
         for p2, c2 in y.terms.items():
-            prod_poly = prod_poly + (c1 * c2) * (schur_poly(p1, k) * schur_poly(p2, k))
-    out = {}
-    for parts, coeff in _schur_expand(prod_poly, k).items():
-        if in_box(parts, k, cols):
-            out[parts] = out.get(parts, 0) + coeff
+            lam, mu = (p1, p2) if weight(p1) >= weight(p2) else (p2, p1)
+            # s_mu is symmetric, so Poly's name order of x1..xk (x10 before x2)
+            # leaves its coefficients alone; only s_() = 1 has no variables.
+            poly = schur_poly(mu, k)
+            s_mu = poly.terms if poly.variables else {(0,) * k: c for c in poly.terms.values()}
+            lam_d = _shifted(lam, k)
+            permuted = [(sign, tuple(lam_d[i] for i in w)) for sign, w in signed]
+            for nu, nu_d in targets:
+                if any(map(gt, lam_d, nu_d)):
+                    continue
+                c = sum(sign * s_mu.get(tuple(map(sub, nu_d, e)), 0) for sign, e in permuted)
+                if c:
+                    out[nu] = out.get(nu, 0) + c1 * c2 * c
     return GrChowClass(x.k, x.n, x.codim + y.codim, out)
 
 

@@ -11,7 +11,6 @@ precise sense in which the output does not depend on it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .exact import is_prime
@@ -314,8 +313,3 @@ SPLIT_EXTENSION_NOTE = "extensions across the abutment filtration are taken spli
 def weight_table(n: int, j: int, unit: str = "c") -> dict:
     """Assembled weight-j table for degree n: degree -> GroupExpr."""
     return assemble(apply_d2(build_e2(n, j, unit=unit)))
-
-
-def table_to_json(table: dict) -> str:
-    return json.dumps({str(p): render_group(g) for p, g in sorted(table.items())},
-                      sort_keys=True)

@@ -1,6 +1,7 @@
 """Quaternion arithmetic, independence predicates and ideal enumeration."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from chowkit.algebras import (
     AlgebraMismatchError,
     EmptyTupleError,
     QuatAlgebra,
+    QuatElement,
     SplitAlgebra,
     TooLargeError,
     conj,
@@ -104,6 +106,33 @@ def test_char_zero_scalars_only():
         QuatAlgebra(0, 3)
 
 
+@pytest.mark.parametrize("algebra", [QuatAlgebra(2, 3), QuatAlgebra(Fraction(1, 2), -5),
+                                     QuatAlgebra.symbolic()])
+def test_ring_results_equal_public_construction(algebra):
+    rng = random.Random(11)
+    scalars = [0, 1, -3, Fraction(1, 2), Fraction(-4, 3), Fraction(2, 1),
+               Poly.var("t"), Poly.const(2), Fraction(1, 3) * Poly.var("a") - 1]
+    for _ in range(60):
+        u = algebra.element(*(rng.choice(scalars) for _ in range(4)))
+        v = algebra.element(*(rng.choice(scalars) for _ in range(4)))
+        for result in (u + v, u - v, -u, quat_mul(u, v), u * v):
+            again = QuatElement(algebra, *result.components())
+            assert result == again
+            assert hash(result) == hash(again)
+            assert [type(c) for c in result.components()] == \
+                [type(c) for c in again.components()]
+            assert all(isinstance(c, (int, Fraction, Poly)) for c in result.components())
+
+
+def test_public_constructor_still_checks_components(alg):
+    with pytest.raises(TypeError):
+        QuatElement(alg, "1", 0, 0, 0)
+    with pytest.raises(TypeError):
+        alg.element(0, 0, "j", 0)
+    with pytest.raises(TypeError):
+        alg.element(0.5)
+
+
 # -- norm and trace -------------------------------------------------------------------
 
 
@@ -151,6 +180,40 @@ def test_conjugation_gives_norm():
 
 
 # -- independence -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [None, 2, 3])
+def test_split_matrix_rejects_ragged_and_wrong_size(p):
+    alg = SplitAlgebra(2, p)
+    for rows in ([[1, 0], [0]], [[1], [0, 1]], [[1, 0]], [[1, 0], [0, 1], [0, 0]],
+                 [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0, 1, 1]], []):
+        with pytest.raises(ValueError):
+            alg.matrix(rows)
+
+
+def test_split_matrix_normalizes():
+    assert SplitAlgebra(2, 3).matrix([[4, -1], [3, 5]]) == ((1, 2), (0, 2))
+    assert SplitAlgebra(2).matrix([[Fraction(1, 2), 0], [-3, 1]]) == \
+        ((Fraction(1, 2), 0), (-3, 1))
+    assert SplitAlgebra(2, 2).matrix(iter([iter([1, 2]), iter([3, 4])])) == ((1, 0), (1, 0))
+
+
+@pytest.mark.parametrize("p", [None, 3])
+def test_split_mat_mul_and_units(p):
+    alg = SplitAlgebra(3, p)
+    rng = random.Random(5)
+    for _ in range(20):
+        x, y = (alg.matrix([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)])
+                for _ in range(2))
+        naive = [[sum(x[i][k] * y[k][j] for k in range(3)) for j in range(3)]
+                 for i in range(3)]
+        assert alg.mat_mul(x, y) == alg.matrix(naive)
+    for i in range(3):
+        for j in range(3):
+            unit = alg.unit_matrix(i, j)
+            assert unit is alg.unit_matrix(i, j)
+            assert unit == alg.matrix([[int((r, c) == (i, j)) for c in range(3)]
+                                       for r in range(3)])
 
 
 def test_independence_examples():

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from chowkit.cli import main
+from chowkit.schubert import box_partitions, format_partition
 
 GOLDEN_VERIFY_ALL = Path(__file__).parent / "golden" / "verify_all.json"
 
@@ -162,3 +164,37 @@ def test_verify_all_json_is_byte_identical_to_golden():
     result = run("verify", "all", "--json")
     assert result.exit_code == 0
     assert result.stdout_bytes == golden
+
+
+@pytest.mark.parametrize("inverted, status, digest", [
+    ((), 1, "96766796d5069649e0539c1ee801c319f3d5dff5261d6befc82cc7882abb7c78"),
+    (("2",), 0, "2b4679b721e481df1569959a7eb2480109ab29230fd5ff64c80e54c31d796125"),
+    (("3",), 1, "645eb0b6b39f192402da4df242c29e4ba00c7010470ccf6c05cfc8a1e90f12da"),
+])
+def test_tateiso_json_bytes_are_pinned(inverted, status, digest):
+    args = [arg for p in inverted for arg in ("--invert", p)]
+    result = run("tateiso", *args, "--json")
+    assert result.exit_code == status
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+# Partition arguments as a user might type them: valid, outside the 3x3 box,
+# empty, with negative or increasing parts, and malformed text.
+partition_texts = st.one_of(
+    st.sampled_from(box_partitions(3, 3)).map(format_partition),
+    st.lists(st.integers(min_value=-3, max_value=12), max_size=5).map(
+        lambda parts: "(" + ",".join(map(str, parts)) + ")"),
+    st.integers(min_value=10, max_value=10 ** 30).map(lambda n: f"({n},1)"),
+    st.text(alphabet="()0123456789,- x", max_size=8),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_texts, partition_texts, st.booleans())
+def test_generated_partitions_exit_cleanly(first, second, xring):
+    for args in (["schubert", "mul", first, second] + (["--xring"] if xring else []),
+                 ["xring", "mul-h", first]):
+        result = run(*args)
+        assert result.exit_code in (0, 2), (args, result.output, result.exception)
+        assert result.exception is None or isinstance(result.exception, SystemExit), args
+        assert "Traceback" not in result.output

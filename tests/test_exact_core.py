@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chowkit.exact import (
     IntMatrix,
@@ -209,6 +209,71 @@ def test_internal_arithmetic_results_are_canonical(p, q, name, power):
         quotient = (p * q).divexact(q)
         _assert_canonical(quotient)
         assert quotient == p
+
+
+def maxscan_divexact(a: Poly, b: Poly) -> Poly:
+    """Schoolbook long division that finds each leading term by a full max scan."""
+    variables = tuple(sorted(set(a.variables) | set(b.variables)))
+
+    def expand(poly):
+        out = {}
+        for exps, c in poly.terms.items():
+            key = [0] * len(variables)
+            for name, e in zip(poly.variables, exps):
+                key[variables.index(name)] = e
+            out[tuple(key)] = c
+        return out
+
+    def grlex(exps):
+        return (sum(exps), exps)
+
+    rem, divisor = expand(a), expand(b)
+    lead_b = max(divisor, key=grlex)
+    quotient = {}
+    while rem:
+        lead = max(rem, key=grlex)
+        exps = tuple(x - y for x, y in zip(lead, lead_b))
+        if any(e < 0 for e in exps):
+            raise InexactDivisionError("leading term is not divisible")
+        c = Fraction(rem[lead]) / divisor[lead_b]
+        quotient[exps] = c
+        for eb, vb in divisor.items():
+            key = tuple(x + y for x, y in zip(exps, eb))
+            rem[key] = rem.get(key, 0) - c * vb
+            if not rem[key]:
+                del rem[key]
+    return Poly(variables, quotient)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_polys(), mixed_polys(), mixed_polys())
+def test_heap_divexact_matches_maxscan_division(p, q, r):
+    assume(not q.is_zero)
+    for dividend in (p * q, p * q + r):
+        try:
+            expected = maxscan_divexact(dividend, q)
+        except InexactDivisionError:
+            with pytest.raises(InexactDivisionError):
+                dividend.divexact(q)
+            continue
+        got = dividend.divexact(q)
+        _assert_canonical(got)
+        assert got == expected
+        assert {e: type(c) for e, c in got.terms.items()} == \
+            {e: type(c) for e, c in expected.terms.items()}
+
+
+def test_divexact_inexact_cases_raise():
+    x2, x10 = Poly.variables_of("x2", "x10")
+    half = Fraction(1, 2)
+    assert (x2 ** 2 - x10 ** 2).divexact(x2 + x10) == x2 - x10
+    assert (half * x2 * x10 + x10).divexact(half * x10) == x2 + 2
+    for num, den in ((x2 ** 2 + 1, x2 + x10), (x10, x2), (Poly.const(3), x10),
+                     (x2 * x10 + 1, x2)):
+        with pytest.raises(InexactDivisionError):
+            num.divexact(den)
+    with pytest.raises(ZeroDivisionError):
+        x2.divexact(0)
 
 
 def test_internal_arithmetic_edge_cases():

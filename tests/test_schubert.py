@@ -1,10 +1,13 @@
 """Schubert calculus on Gr(k, n): Pieri, Schur products, duality, counts."""
 
+import importlib.util
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from chowkit.exact import Poly, det_expansion
 from chowkit.schubert import (
     CodimMismatchError,
     GrChowClass,
@@ -16,7 +19,10 @@ from chowkit.schubert import (
     pieri,
     point_count,
     schur_product,
+    _alternant,
 )
+
+ORACLES = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
 
 
 def sch(parts):
@@ -81,6 +87,71 @@ def test_product_grading():
         prod = schur_product(x, y)
         if not prod.is_zero:
             assert prod.codim == x.codim + y.codim
+
+
+# -- Littlewood-Richardson coefficients against the tableau oracle ---------------
+
+
+def _lr_oracle():
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", ORACLES)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    return oracles.lr_coefficient
+
+
+def _oracle_product(lr_coefficient, k, n, lam, mu):
+    """The product of two Schubert classes from counted LR tableaux."""
+    terms = {nu: lr_coefficient(lam, mu, nu)
+             for nu in box_partitions(k, n - k, sum(lam) + sum(mu))}
+    return GrChowClass(k, n, sum(lam) + sum(mu), terms)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_schur_product_matches_lr_tableaux_on_every_pair(k):
+    lr_coefficient = _lr_oracle()
+    partitions = box_partitions(k, k)
+    for lam in partitions:
+        for mu in partitions:
+            got = schur_product(GrChowClass.schubert(k, 2 * k, lam),
+                                GrChowClass.schubert(k, 2 * k, mu))
+            assert got == _oracle_product(lr_coefficient, k, 2 * k, lam, mu), (lam, mu)
+
+
+def test_schur_product_matches_lr_tableaux_on_gr510_sample():
+    lr_coefficient = _lr_oracle()
+    rng = random.Random("chowkit-lr-gr510")
+    partitions = box_partitions(5, 5)
+    for _ in range(40):
+        lam, mu = rng.choice(partitions), rng.choice(partitions)
+        got = schur_product(GrChowClass.schubert(5, 10, lam), GrChowClass.schubert(5, 10, mu))
+        assert got == _oracle_product(lr_coefficient, 5, 10, lam, mu), (lam, mu)
+
+
+def test_gr510_hyperplane_sweep_matches_pieri():
+    hyper = GrChowClass.schubert(5, 10, (1,))
+    for parts in box_partitions(5, 5):
+        cls = GrChowClass.schubert(5, 10, parts)
+        assert schur_product(hyper, cls) == pieri(cls), parts
+
+
+def test_gr612_product_commutes():
+    rng = random.Random("chowkit-lr-gr612")
+    partitions = [p for p in box_partitions(6, 6) if 4 <= sum(p) <= 8]
+    lam, mu = rng.choice(partitions), rng.choice(partitions)
+    x, y = GrChowClass.schubert(6, 12, lam), GrChowClass.schubert(6, 12, mu)
+    product = schur_product(x, y)
+    assert not product.is_zero
+    assert product == schur_product(y, x)
+
+
+@pytest.mark.parametrize("exponents", [
+    (), (0,), (3,), (1, 0), (0, 1), (2, 2), (4, 2, 0), (0, 2, 5), (1, 1, 0),
+    (5, 3, 1, 0), (0, 1, 2, 3), (3, 0, 3, 1), (6, 4, 2, 1),
+])
+def test_alternant_matches_det_expansion(exponents):
+    k = len(exponents)
+    rows = [[Poly((f"x{i + 1}",), {(e,): 1}) for e in exponents] for i in range(k)]
+    assert _alternant(exponents) == det_expansion(rows)
 
 
 # -- duality -------------------------------------------------------------------
