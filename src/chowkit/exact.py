@@ -221,13 +221,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def leading(self):
-        """Leading (exponents, coefficient) pair in graded-lex order."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex)
-        return exps, self.terms[exps]
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True)
 

@@ -270,18 +270,20 @@ def _diagonalize_symmetric(gram):
 
 # -- isotropic vectors and Witt decomposition ------------------------------------
 
+SEARCH_BOUND = 30  # coordinate height of the isotropic and representation searches
+
 
 def _clear_denominators(diag):
     scale = lcm(*(d.denominator for d in diag))
     return [int(d * scale) for d in diag]
 
 
-def find_isotropic(diag, bound: int = 30):
+def find_isotropic(diag):
     """Nonzero rational zero of a nondegenerate diagonal form, or None.
 
-    Searches primitive integer vectors with coordinates of height up to the
-    bound, solving for the last coordinate by an exact square test.  Definite
-    forms are anisotropic outright and skip the search.
+    Searches primitive integer vectors with coordinates of height up to
+    SEARCH_BOUND, solving for the last coordinate by an exact square test.
+    Definite forms are anisotropic outright and skip the search.
     """
     diag = [Fraction(d) for d in diag]
     if any(d == 0 for d in diag):
@@ -293,7 +295,7 @@ def find_isotropic(diag, bound: int = 30):
         return None
     d = _clear_denominators(diag)
     head, last = d[:-1], d[-1]
-    for height in range(1, bound + 1):
+    for height in range(1, SEARCH_BOUND + 1):
         for prefix in product(range(-height, height + 1), repeat=n - 1):
             if max((abs(c) for c in prefix), default=0) != height and any(prefix):
                 continue
@@ -301,7 +303,7 @@ def find_isotropic(diag, bound: int = 30):
             if target < 0 or target.denominator != 1:
                 continue
             root = isqrt(target.numerator)
-            if root * root != target.numerator or root > bound:
+            if root * root != target.numerator or root > SEARCH_BOUND:
                 continue
             if not any(prefix) and root == 0:
                 continue
@@ -334,7 +336,7 @@ class WittDecomposition:
         return g
 
 
-def witt_split(form, bound: int = 30) -> WittDecomposition:
+def witt_split(form) -> WittDecomposition:
     """Split hyperbolic planes off a nondegenerate diagonal rational form.
 
     Repeatedly finds an isotropic vector within the search bound, completes it
@@ -354,7 +356,7 @@ def witt_split(form, bound: int = 30) -> WittDecomposition:
     pairs = []
     exhausted = False
     while len(current_diag) >= 2:
-        v_local = find_isotropic(current_diag, bound)
+        v_local = find_isotropic(current_diag)
         if v_local is None:
             exhausted = True
             break
@@ -401,7 +403,7 @@ def witt_split(form, bound: int = 30) -> WittDecomposition:
 # -- representation and similarity certificates -----------------------------------
 
 
-def represent(diag, value, bound: int = 30):
+def represent(diag, value):
     """Rational vector v with q(v) = value for a diagonal form, or None."""
     diag = [Fraction(d) for d in diag]
     value = Fraction(value)
@@ -409,7 +411,7 @@ def represent(diag, value, bound: int = 30):
     scale = Fraction(d[-1], -1)
     head = d[:-1]
     tail = scale * value
-    for height in range(1, bound + 1):
+    for height in range(1, SEARCH_BOUND + 1):
         for prefix in product(range(-height, height + 1), repeat=len(diag)):
             if max((abs(c) for c in prefix), default=0) != height:
                 continue
@@ -421,26 +423,26 @@ def represent(diag, value, bound: int = 30):
             if ratio <= 0 or ratio.denominator != 1:
                 continue
             root = isqrt(ratio.numerator)
-            if root * root != ratio.numerator or root == 0 or root > bound:
+            if root * root != ratio.numerator or root == 0 or root > SEARCH_BOUND:
                 continue
             return [Fraction(c, root) for c in prefix]
     return None
 
 
-def _congruence_columns(gram, targets, bound):
+def _congruence_columns(gram, targets):
     if not targets:
         return []
     cols, diag = _diagonalize_symmetric(gram)
     if any(d == 0 for d in diag):
         return None
-    v_diag = represent(diag, targets[0], bound)
+    v_diag = represent(diag, targets[0])
     if v_diag is None:
         return None
     m = len(gram)
     v = [sum(cols[k][r] * v_diag[k] for k in range(m)) for r in range(m)]
     comp = _nullspace([_mat_vec(gram, v)], m)
     sub = _congruence_transform(gram, comp)
-    rest = _congruence_columns(sub, targets[1:], bound)
+    rest = _congruence_columns(sub, targets[1:])
     if rest is None:
         return None
     lifted = [[sum(comp[k][r] * col[k] for k in range(len(comp))) for r in range(m)]
@@ -448,7 +450,7 @@ def _congruence_columns(gram, targets, bound):
     return [v] + lifted
 
 
-def congruence_between(f, g, bound: int = 30):
+def congruence_between(f, g):
     """Transform P with P^T diag(f) P = diag(g), or None within the bound."""
     f = [Fraction(c) for c in f]
     g = [Fraction(c) for c in g]
@@ -456,7 +458,7 @@ def congruence_between(f, g, bound: int = 30):
         return None
     gram = [[f[i] if i == j else Fraction(0) for j in range(len(f))]
             for i in range(len(f))]
-    cols = _congruence_columns(gram, g, bound)
+    cols = _congruence_columns(gram, g)
     if cols is None:
         return None
     achieved = _congruence_transform(gram, cols)
@@ -467,7 +469,7 @@ def congruence_between(f, g, bound: int = 30):
     return tuple(tuple(c) for c in cols)
 
 
-def similarity_certificate(f, g, bound: int = 30):
+def similarity_certificate(f, g):
     """(multiplier, transform) with P^T diag(c*f) P = diag(g), or None.
 
     Multiplier candidates are the signed squarefree products of the primes
@@ -490,7 +492,7 @@ def similarity_certificate(f, g, bound: int = 30):
         if c == 0:
             continue
         scaled = [c * v for v in f]
-        transform = congruence_between(scaled, g, bound)
+        transform = congruence_between(scaled, g)
         if transform is not None:
             return c, transform
     return None

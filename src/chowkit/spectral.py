@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import is_prime
-from .tate import NotPrimeError, d2_matrix, enumerate_multi_indices, slice_patterns
+from .tate import NotPrimeError, d2_matrix, enumerate_multi_indices
 
 
 class WeightOutOfRangeError(ValueError):
@@ -216,12 +216,10 @@ def build_e2(n: int, j: int, unit: str = "c") -> E2Page:
         raise NotPrimeError("the engine is stated for prime degree")
     if not 1 <= j <= 3:
         raise WeightOutOfRangeError("coefficient tables cover weights 1..3")
-    patterns = slice_patterns(n)
+    # Every twist q <= j <= 3 has a slice: prime n >= 2 gives n(n+1)/2 >= 3.
     cells = {}
     members = {}
     for q in range(1, j + 1):
-        if q not in patterns:
-            continue
         for index, p, group in _row_summands(n, j, q):
             key = (p, q)
             members.setdefault(key, []).append((index, group))

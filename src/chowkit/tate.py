@@ -3,9 +3,10 @@
 A multi-index is a strictly increasing tuple inside {1..n}; the summand it
 labels sits in twist |I| and shift 2|I| - l(I).  This module enumerates the
 patterns, computes the twist expansion of higher Chern classes under a line
-bundle, and produces the second-differential matrix between adjacent twist
-weights together with an independent derivation of it from the Chern-product
-expansion (the lambda-linear coefficient).
+bundle as a Poly in the variables c1..cn and lam, and produces the
+second-differential matrix between adjacent twist weights together with an
+independent derivation of it from the Chern-product expansion (the
+lambda-linear coefficient).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 from .exact import Poly, is_prime
 
@@ -152,7 +153,6 @@ class TatePattern:
 # Split building blocks: projective spaces and the split conic summand.
 PATTERN_POINT = TatePattern.tate(0, 0)
 PATTERN_P1 = TatePattern({(0, 0): 1, (1, 2): 1})
-PATTERN_P2 = TatePattern({(0, 0): 1, (1, 2): 1, (2, 4): 1})
 
 
 def gl_tate_pattern(n: int) -> TatePattern:
@@ -204,105 +204,23 @@ def slice_consistency(n: int) -> bool:
 # -- Chern class twist expansion ----------------------------------------------
 
 
-class ChernExpr:
-    """Linear combination of products c_{i1}...c_{ir} with Poly coefficients.
-
-    Keys are sorted tuples of positive subscripts (multisets); the empty tuple
-    is the unit class, which is how c_0 factors are absorbed.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        cleaned = {}
-        if terms:
-            for key, poly in dict(terms).items():
-                key = tuple(sorted(int(i) for i in key))
-                if any(i <= 0 for i in key):
-                    raise ValueError("Chern subscripts are positive (c_0 is the unit)")
-                poly = Poly._coerce(poly)
-                if poly.is_zero:
-                    continue
-                if key in cleaned:
-                    cleaned[key] = cleaned[key] + poly
-                else:
-                    cleaned[key] = poly
-        object.__setattr__(self, "terms",
-                           {k: p for k, p in cleaned.items() if not p.is_zero})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChernExpr is immutable")
-
-    @classmethod
-    def unit(cls) -> "ChernExpr":
-        return cls({(): 1})
-
-    def __mul__(self, other: "ChernExpr") -> "ChernExpr":
-        out = {}
-        for k1, p1 in self.terms.items():
-            for k2, p2 in other.terms.items():
-                key = tuple(sorted(k1 + k2))
-                prod = p1 * p2
-                if key in out:
-                    out[key] = out[key] + prod
-                else:
-                    out[key] = prod
-        return ChernExpr(out)
-
-    def map_polys(self, fn) -> "ChernExpr":
-        return ChernExpr({k: fn(p) for k, p in self.terms.items()})
-
-    def lambda_coefficient(self, power: int) -> dict:
-        """Scalar coefficient of lambda**power for each subscript multiset."""
-        out = {}
-        for key, poly in self.terms.items():
-            c = poly.coefficient(LAMBDA, power)
-            if not c.is_zero:
-                out[key] = c.constant_value()
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, ChernExpr):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self):
-        body = " + ".join(f"({p})*c{list(k)}" for k, p in sorted(self.terms.items()))
-        return f"ChernExpr[{body or '0'}]"
-
-
-def chern_twist(k: int) -> ChernExpr:
+@lru_cache(maxsize=None)
+def chern_twist(k: int) -> Poly:
     """Expansion of c_k of a class twisted by a line bundle with c_1 = lambda.
 
     c_k picks up the alternating tail sum_i (-1)^i C(k-1, i) lambda^i c_{k-i},
-    i running 0..k-1 so that every subscript stays positive.
+    i running 0..k-1 so that every subscript stays positive: a Poly in the
+    variables c1..ck and lam, where the unit class c_0 never appears.
     """
     if k < 1:
         raise ValueError("twist expansion starts at c_1")
     lam = Poly.var(LAMBDA)
-    terms = {}
-    for i in range(k):
-        coeff = ((-1) ** i) * comb(k - 1, i)
-        terms[(k - i,)] = coeff * lam ** i
-    return ChernExpr(terms)
+    return sum(comb(k - 1, i) * (-lam) ** i * Poly.var(f"c{k - i}") for i in range(k))
 
 
-def chern_twist_product(index, sign_flip: bool = False) -> ChernExpr:
-    """Product of the twist expansions over the entries of a multi-index.
-
-    sign_flip substitutes the dual line bundle (lambda -> -lambda), turning
-    every tail coefficient positive: c_j + (j-1) lambda c_{j-1} + ...
-    """
-    result = ChernExpr.unit()
-    for j in index:
-        result = result * (_flipped_twist(j) if sign_flip else chern_twist(j))
-    return result
-
-
-@lru_cache(maxsize=64)
-def _flipped_twist(k: int) -> ChernExpr:
-    """chern_twist(k) under lambda -> -lambda, built once per k."""
-    return chern_twist(k).map_polys(lambda p: p.substitute({LAMBDA: -Poly.var(LAMBDA)}))
+def chern_twist_product(index) -> Poly:
+    """Product of the twist expansions over the entries of a multi-index."""
+    return prod(map(chern_twist, index), start=Poly.const(1))
 
 
 # -- the second differential ---------------------------------------------------
@@ -356,9 +274,18 @@ def _closed_form_column(n: int, col):
 
 
 def _lambda_column(n: int, col):
-    """Entry function of column col: the lambda-linear coefficient of its
-    sign-flipped Chern product, expanded once for the whole column."""
-    table = chern_twist_product(col, sign_flip=True).lambda_coefficient(1)
+    """Entry function of column col: the lambda-linear coefficient of its Chern
+    product under the dual line bundle, expanded once for the whole column.
+
+    The dual bundle (lambda -> -lambda) negates the lambda-linear coefficient.
+    Each monomial of it is read back as the multiset of its Chern subscripts,
+    parsed from the variable names, since Poly sorts c10 before c2.
+    """
+    linear = -chern_twist_product(col).coefficient(LAMBDA, 1)
+    table = {}
+    for exps, c in linear.terms.items():
+        row = sorted(int(name[1:]) for name, e in zip(linear.variables, exps) for _ in range(e))
+        table[tuple(row)] = c
     return lambda row: table.get(tuple(row), 0) % n
 
 
@@ -386,7 +313,13 @@ def d2_matrix(n: int, q: int) -> D2Matrix:
 
 
 def d2_matrix_from_chern(n: int, q: int) -> D2Matrix:
-    """The differential matrix by the lambda-coefficient route alone."""
+    """The differential matrix by the lambda-coefficient route alone.
+
+    Column J is the lambda-linear coefficient of the product of the twisted
+    Chern classes c_j, j in J, under the dual line bundle; entry (I, J) is the
+    coefficient of the monomial prod_{i in I} c_i, reduced mod n.  The route
+    never consults the closed form.
+    """
     return _d2(n, q, _lambda_column)
 
 

@@ -47,6 +47,13 @@ def test_ss_weight_three():
     }
 
 
+
+def test_ss_large_prime():
+    # ss never builds the slices above weight 3, so n = 97 returns at once.
+    result, doc = run_json("ss", "--n", "97", "--weight", "3")
+    assert result.exit_code == 0
+    assert doc["payload"]["table"] == run_json("ss", "--n", "3", "--weight", "3")[1]["payload"]["table"]
+
 def test_schubert_mul_xring():
     result, doc = run_json("schubert", "mul", "(2,2)", "(1)", "--xring")
     assert result.exit_code == 0

@@ -181,3 +181,12 @@ def test_degree_two_engine_runs():
     # The engine is generic over the prime; degree 2 assembles its own table.
     table = weight_table(2, 2)
     assert table == {2: Atom("F*"), 3: NZ}
+
+
+def test_large_prime_tables_match_small_prime():
+    # build_e2 reads only the twists q <= j, so a large prime costs no more
+    # than a small one and assembles the same tables.
+    for j in (1, 2, 3):
+        expected = weight_table(5, j)
+        for p in (23, 97):
+            assert weight_table(p, j) == expected, (p, j)

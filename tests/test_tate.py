@@ -6,7 +6,6 @@ import pytest
 
 from chowkit.exact import Poly
 from chowkit.tate import (
-    ChernExpr,
     NotPrimeError,
     SliceRangeError,
     TatePattern,
@@ -103,25 +102,24 @@ def test_pattern_checks_report():
 
 
 def test_chern_twist_small_cases():
-    lam = Poly.var("lam")
-    assert chern_twist(1).terms == {(1,): Poly.const(1)}
-    assert chern_twist(2).terms == {(2,): Poly.const(1), (1,): -lam}
-    assert chern_twist(3).terms == {(3,): Poly.const(1), (2,): -2 * lam, (1,): lam ** 2}
+    lam, c1, c2, c3 = Poly.variables_of("lam", "c1", "c2", "c3")
+    assert chern_twist(1) == c1
+    assert chern_twist(2) == c2 - lam * c1
+    assert chern_twist(3) == c3 - 2 * lam * c2 + lam ** 2 * c1
 
 
 def test_chern_twist_specializes_to_untwisted():
     for k in range(1, 6):
-        table = chern_twist(k).map_polys(lambda p: p.substitute({"lam": 0}))
-        assert table.terms == {(k,): Poly.const(1)}
+        assert chern_twist(k).substitute({"lam": 0}) == Poly.var(f"c{k}")
 
 
 def test_chern_twist_product_examples():
-    lam = Poly.var("lam")
-    flipped = chern_twist_product((2,), sign_flip=True)
-    assert flipped.terms == {(2,): Poly.const(1), (1,): lam}
-    assert chern_twist_product(()) == ChernExpr.unit()
-    prod = chern_twist_product((1, 2), sign_flip=True)
-    assert prod.lambda_coefficient(1) == {(1, 1): 1}
+    lam, c1, c2 = Poly.variables_of("lam", "c1", "c2")
+    flipped = chern_twist_product((2,)).substitute({"lam": -lam})
+    assert flipped == c2 + lam * c1
+    assert chern_twist_product(()) == Poly.const(1)
+    prod = chern_twist_product((1, 2)).substitute({"lam": -lam})
+    assert prod.coefficient("lam", 1) == c1 ** 2
 
 
 # -- the differential matrix --------------------------------------------------------------
@@ -151,11 +149,13 @@ def test_d2_range_and_primality_errors():
 
 
 def test_d2_oracle_equivalence_exhaustive():
-    for n in (2, 3, 5):
-        for q in range(1, max_weight(n) + 1):
-            closed = d2_matrix(n, q)
-            derived = d2_matrix_from_chern(n, q)
-            assert closed.entries == derived.entries, (n, q)
+    cases = [(n, q) for n in (2, 3, 5, 7) for q in range(1, max_weight(n) + 1)]
+    # n = 11, q = 9..12 reaches the two-digit subscripts c10 and c11.
+    cases += [(11, q) for q in range(9, 13)]
+    for n, q in cases:
+        closed = d2_matrix(n, q)
+        derived = d2_matrix_from_chern(n, q)
+        assert closed.entries == derived.entries, (n, q)
 
 
 def test_d2_structure_rules():
