@@ -14,7 +14,7 @@ from .schubert import GrChowClass, box_partitions, duality_pairing, parse_partit
 from .hyperplane import P2SectionClass, SectionClass, basis_certificate, gram_matrix, \
     hyperplane_mul, intersection_pairing, rational_cycle, restrict_from_gr, \
     tate_iso_check, verify_c3_twist_identity, verify_cycle_recursion
-from .tate import TatePattern, chern_twist, chern_twist_product, d2_matrix, \
+from .tate import chern_twist, chern_twist_product, d2_matrix, \
     enumerate_multi_indices, gl_tate_pattern, slice_consistency, slice_patterns
 from .spectral import apply_d2, assemble, build_e2, render_group, weight_table
 from .geometry import chart_equation, classify_chart, plucker_embed, \

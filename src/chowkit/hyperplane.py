@@ -24,11 +24,9 @@ from .schubert import (
     box_partitions,
     duality_pairing,
     format_partition,
-    in_box,
     normalize_partition,
     pieri,
     schur_product,
-    weight,
 )
 
 K, N = 3, 6
@@ -72,23 +70,15 @@ def label_weight(codim: int) -> int:
 class SectionClass:
     """Integer combination of Schubert labels in one Chow group of X."""
 
-    __slots__ = ("codim", "terms")
+    __slots__ = ("codim", "terms", "_gr")
 
     def __init__(self, codim: int, terms):
-        lw = label_weight(codim)
-        cleaned = {}
-        for parts, coeff in dict(terms).items():
-            parts = normalize_partition(parts)
-            coeff = int(coeff)
-            if coeff == 0:
-                continue
-            if not in_box(parts, K, COLS):
-                raise ValueError(f"partition {parts} escapes the 3x3 box")
-            if weight(parts) != lw:
-                raise ValueError(f"label {parts} does not live in CH^{codim}(X)")
-            cleaned[parts] = cleaned.get(parts, 0) + coeff
+        # GrChowClass cleans the labels and checks them against the 3x3 box
+        # and the label degree of CH^codim(X).
+        gr = GrChowClass(K, N, label_weight(codim), terms)
         object.__setattr__(self, "codim", codim)
-        object.__setattr__(self, "terms", {p: c for p, c in cleaned.items() if c})
+        object.__setattr__(self, "terms", gr.terms)
+        object.__setattr__(self, "_gr", gr)
 
     def __setattr__(self, name, value):
         raise AttributeError("SectionClass is immutable")
@@ -138,7 +128,7 @@ class SectionClass:
 
     def to_gr(self) -> GrChowClass:
         """The label combination as a Grassmannian class of degree |labels|."""
-        return GrChowClass(K, N, label_weight(self.codim), self.terms)
+        return self._gr
 
     def coefficient(self, parts) -> int:
         return self.terms.get(normalize_partition(parts), 0)
@@ -152,17 +142,7 @@ class SectionClass:
         return hash((self.codim, frozenset(self.terms.items())))
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        pieces = []
-        for parts in sorted(self.terms):
-            c = self.terms[parts]
-            body = format_partition(parts) if abs(c) == 1 else f"{abs(c)}{format_partition(parts)}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return str(self.to_gr())
 
     def __repr__(self):
         return f"SectionClass(codim={self.codim}, {self})"

@@ -26,10 +26,10 @@ class CodimMismatchError(ValueError):
 
 
 def normalize_partition(parts) -> tuple:
-    parts = tuple(int(p) for p in parts if int(p) != 0)
-    if any(p < 0 for p in parts):
+    parts = tuple(p for p in map(int, parts) if p)
+    if parts and min(parts) < 0:
         raise ValueError("partition parts must be nonnegative")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    if any(map(gt, parts[1:], parts)):
         raise ValueError("partition parts must be weakly decreasing")
     return parts
 
@@ -49,20 +49,27 @@ def complement_partition(parts, k: int, cols: int) -> tuple:
 
 
 def box_partitions(k: int, cols: int, weight_filter: int | None = None):
-    """All partitions in the k x cols box, sorted by (weight, parts)."""
+    """All partitions in the k x cols box, sorted by (weight, parts).
+
+    With a weight filter only the partitions of that weight are generated.
+    """
     out = []
 
-    def rec(prefix, maxpart, rows_left):
-        out.append(tuple(prefix))
-        if rows_left == 0:
+    def rec(prefix, maxpart, rows_left, left):
+        # Invariant: left <= maxpart * rows_left, so the weight still left fits.
+        # Parts come in increasing order, which lists each weight sorted.
+        if left == 0:
+            out.append(tuple(prefix))
             return
-        for p in range(1, maxpart + 1):
-            rec(prefix + [p], p, rows_left - 1)
+        for p in range(-(-left // rows_left), min(maxpart, left) + 1):
+            prefix.append(p)
+            rec(prefix, p, rows_left - 1, left - p)
+            prefix.pop()
 
-    rec([], cols, k)
-    out = sorted(set(out), key=lambda p: (weight(p), p))
-    if weight_filter is not None:
-        out = [p for p in out if weight(p) == weight_filter]
+    weights = range(k * cols + 1) if weight_filter is None else (weight_filter,)
+    for w in weights:
+        if 0 <= w <= k * cols:
+            rec([], cols, k, w)
     return out
 
 

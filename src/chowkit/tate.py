@@ -2,16 +2,17 @@
 
 A multi-index is a strictly increasing tuple inside {1..n}; the summand it
 labels sits in twist |I| and shift 2|I| - l(I).  This module enumerates the
-patterns, computes the twist expansion of higher Chern classes under a line
-bundle as a Poly in the variables c1..cn and lam, and produces the
-second-differential matrix between adjacent twist weights together with an
-independent derivation of it from the Chern-product expansion (the
-lambda-linear coefficient).
+multi-indices, counts their Tate patterns, computes the twist expansion of
+higher Chern classes under a line bundle as a Poly in the variables c1..cn and
+lam, and produces the second-differential matrix between adjacent twist
+weights together with an independent derivation of it from the Chern-product
+expansion (the lambda-linear coefficient).
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -32,10 +33,6 @@ LAMBDA = "lam"
 
 
 # -- multi-indices ------------------------------------------------------------
-
-
-def index_weight(index) -> int:
-    return sum(index)
 
 
 def enumerate_multi_indices(n: int, weight: int | None = None):
@@ -88,80 +85,23 @@ def parse_multi_index(text: str) -> tuple:
 
 
 # -- Tate patterns ------------------------------------------------------------
+# A Tate pattern is a Counter (twist q, shift p) -> multiplicity.
 
 
-class TatePattern:
-    """Finitely supported multiplicity table (twist q, shift p) -> m >= 0."""
+def gl_tate_pattern(n: int) -> Counter:
+    """Tate pattern of GL_n: one summand Z(|I|)[2|I|-l(I)] per multi-index.
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries=None):
-        cleaned = {}
-        if entries:
-            for (q, p), m in dict(entries).items():
-                m = int(m)
-                if m < 0:
-                    raise ValueError("multiplicities must be nonnegative")
-                if m:
-                    cleaned[(int(q), int(p))] = cleaned.get((int(q), int(p)), 0) + m
-        object.__setattr__(self, "entries", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TatePattern is immutable")
-
-    @classmethod
-    def tate(cls, q: int, p: int) -> "TatePattern":
-        return cls({(q, p): 1})
-
-    def __add__(self, other: "TatePattern") -> "TatePattern":
-        out = dict(self.entries)
-        for key, m in other.entries.items():
-            out[key] = out.get(key, 0) + m
-        return TatePattern(out)
-
-    def twist_shift(self, dq: int, dp: int) -> "TatePattern":
-        return TatePattern({(q + dq, p + dp): m for (q, p), m in self.entries.items()})
-
-    def remove(self, q: int, p: int) -> "TatePattern":
-        out = dict(self.entries)
-        key = (q, p)
-        if out.get(key, 0) < 1:
-            raise ValueError("pattern does not contain that summand")
-        out[key] -= 1
-        return TatePattern(out)
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, TatePattern):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(frozenset(self.entries.items()))
-
-    def __repr__(self):
-        body = ", ".join(f"({q},{p}):{m}" for (q, p), m in sorted(self.entries.items()))
-        return "TatePattern{" + body + "}"
-
-    def to_json(self) -> str:
-        return json.dumps({f"({q},{p})": m for (q, p), m in sorted(self.entries.items())},
-                          sort_keys=True)
-
-
-# Split building blocks: projective spaces and the split conic summand.
-PATTERN_POINT = TatePattern.tate(0, 0)
-PATTERN_P1 = TatePattern({(0, 0): 1, (1, 2): 1})
-
-
-def gl_tate_pattern(n: int) -> TatePattern:
-    """Tate pattern of GL_n: one summand Z(|I|)[2|I|-l(I)] per multi-index."""
-    out = {}
-    for index in enumerate_multi_indices(n):
-        key = (index_weight(index), 2 * index_weight(index) - len(index))
-        out[key] = out.get(key, 0) + 1
-    return TatePattern(out)
+    Counted off the generating function prod_{i=1..n} (1 + y t^i): the factor
+    for i either skips i or adds it to the multi-index, which raises the
+    twist by i and the shift by 2i - 1.
+    """
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    pattern = Counter({(0, 0): 1})
+    for i in range(1, n + 1):
+        for (q, p), m in list(pattern.items()):
+            pattern[q + i, p + 2 * i - 1] += m
+    return pattern
 
 
 def max_weight(n: int) -> int:
@@ -173,18 +113,14 @@ def slice_patterns(n: int) -> dict:
 
     Twist q carries one summand Z(q)[2q - l(I)] per multi-index of weight q
     for 1 <= q <= n(n+1)/2; twist n^2 carries a single Z(n^2)[2n^2 - 2]; all
-    other twists are empty.
+    other twists are empty.  The slices are listed, not counted, so that
+    slice_consistency compares two independent routes.
     """
     if not is_prime(n):
         raise NotPrimeError("slice patterns are stated for prime degree")
-    out = {}
-    for q in range(1, max_weight(n) + 1):
-        entries = {}
-        for index in enumerate_multi_indices(n, weight=q):
-            key = (q, 2 * q - len(index))
-            entries[key] = entries.get(key, 0) + 1
-        out[q] = TatePattern(entries)
-    out[n * n] = TatePattern.tate(n * n, 2 * n * n - 2)
+    out = {q: Counter((q, 2 * q - len(index)) for index in enumerate_multi_indices(n, weight=q))
+           for q in range(1, max_weight(n) + 1)}
+    out[n * n] = Counter({(n * n, 2 * n * n - 2): 1})
     return out
 
 
@@ -194,11 +130,8 @@ def slice_consistency(n: int) -> bool:
     The GL pattern minus its empty-index summand, plus the extra top twist
     (n^2, 2n^2 - 2), must equal the union of the slice patterns.
     """
-    lhs = gl_tate_pattern(n).remove(0, 0) + TatePattern.tate(n * n, 2 * n * n - 2)
-    rhs = TatePattern()
-    for pattern in slice_patterns(n).values():
-        rhs = rhs + pattern
-    return lhs == rhs
+    lhs = gl_tate_pattern(n) - Counter({(0, 0): 1}) + Counter({(n * n, 2 * n * n - 2): 1})
+    return lhs == sum(slice_patterns(n).values(), Counter())
 
 
 # -- Chern class twist expansion ----------------------------------------------
@@ -258,24 +191,15 @@ class D2Matrix:
         )
 
 
-def _closed_form_column(n: int, col):
-    """Entry function of column col: i_t mod n where col bumps row's i_t by one."""
-    def entry(row) -> int:
-        if len(row) != len(col):
-            return 0
-        diffs = [(a, b) for a, b in zip(row, col) if a != b]
-        if len(diffs) != 1:
-            return 0
-        a, b = diffs[0]
-        if b != a + 1:
-            return 0
-        return a % n
-    return entry
+def _closed_form_column(col) -> dict:
+    """Column col as {row: entry}: lowering one entry j_t of col to j_t - 1
+    gives the row, and the entry is i_t = j_t - 1 (reduced mod n by _d2)."""
+    return {col[:t] + (j - 1,) + col[t + 1:]: j - 1 for t, j in enumerate(col)}
 
 
-def _lambda_column(n: int, col):
-    """Entry function of column col: the lambda-linear coefficient of its Chern
-    product under the dual line bundle, expanded once for the whole column.
+def _lambda_column(col) -> dict:
+    """Column col as {row: entry}: the lambda-linear coefficient of its Chern
+    product under the dual line bundle, expanded once for the column.
 
     The dual bundle (lambda -> -lambda) negates the lambda-linear coefficient.
     Each monomial of it is read back as the multiset of its Chern subscripts,
@@ -286,7 +210,7 @@ def _lambda_column(n: int, col):
     for exps, c in linear.terms.items():
         row = sorted(int(name[1:]) for name, e in zip(linear.variables, exps) for _ in range(e))
         table[tuple(row)] = c
-    return lambda row: table.get(tuple(row), 0) % n
+    return table
 
 
 def _d2(n: int, q: int, column) -> D2Matrix:
@@ -296,9 +220,15 @@ def _d2(n: int, q: int, column) -> D2Matrix:
         raise SliceRangeError(f"twist weight must lie in 1..{max_weight(n)}")
     rows = tuple(enumerate_multi_indices(n, weight=q))
     cols = tuple(enumerate_multi_indices(n, weight=q + 1))
-    columns = [column(n, c) for c in cols]
-    entries = tuple(tuple(entry(r) for entry in columns) for r in rows)
-    return D2Matrix(n, q, rows, cols, entries)
+    position = {row: i for i, row in enumerate(rows)}
+    entries = [[0] * len(cols) for _ in rows]
+    for j, col in enumerate(cols):
+        # Keys that are not multi-indices (a repeated or zero subscript) are
+        # not rows; their entries vanish.
+        for row, value in column(col).items():
+            if row in position:
+                entries[position[row]][j] = value % n
+    return D2Matrix(n, q, rows, cols, tuple(map(tuple, entries)))
 
 
 def d2_matrix(n: int, q: int) -> D2Matrix:
@@ -334,12 +264,12 @@ def consistency_report() -> dict:
     SL_1: Z + Z(2)[3] must reproduce the norm-one pattern for degree 2.  The
     slice consistency identity is checked for n = 2 and 3.
     """
-    gl_rhs = PATTERN_POINT + PATTERN_P1.twist_shift(1, 1) + TatePattern.tate(3, 4)
-    gl_ok = gl_rhs == gl_tate_pattern(2)
+    point = Counter({(0, 0): 1})
+    p1 = Counter({(0, 0): 1, (1, 2): 1})
+    conic = Counter({(q + 1, p + 1): m for (q, p), m in p1.items()})
+    gl_ok = point + conic + Counter({(3, 4): 1}) == gl_tate_pattern(2)
 
-    sl_rhs = PATTERN_POINT + TatePattern.tate(2, 3)
-    sl_expected = TatePattern({(0, 0): 1, (2, 3): 1})
-    sl_ok = sl_rhs == sl_expected
+    sl_ok = point + Counter({(2, 3): 1}) == Counter({(0, 0): 1, (2, 3): 1})
 
     slices_ok = {n: slice_consistency(n) for n in (2, 3)}
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -205,3 +206,53 @@ def test_generated_partitions_exit_cleanly(first, second, xring):
         assert result.exit_code in (0, 2), (args, result.output, result.exception)
         assert result.exception is None or isinstance(result.exception, SystemExit), args
         assert "Traceback" not in result.output
+
+
+def test_glmotive_degree_forty():
+    result, doc = run_json("glmotive", "--n", "40")
+    assert result.exit_code == 0
+    assert doc["payload"]["total"] == 2 ** 40
+
+
+def int_text(low, high):
+    """An integer option value in [low, high], or text that is no integer."""
+    return st.one_of(st.integers(min_value=low, max_value=high).map(str),
+                     st.sampled_from(["", "x", "1.5", " 3", "0x7", "--"]))
+
+
+# Generated arguments for every other subcommand, bounded where the input
+# sets the size of the work: d2 degrees up to 7 (the Chern-product oracle
+# grows without bound above that), witt forms of dimension at most 3, and
+# integers of at most 10^6 (primality is decided by trial division).
+subcommand_args = st.one_of(
+    st.lists(int_text(-50, 10 ** 6), max_size=3).map(
+        lambda ps: ["tateiso"] + [arg for p in ps for arg in ("--invert", p)]),
+    st.tuples(int_text(-3, 45)).map(lambda a: ["glmotive", "--n", *a]),
+    st.tuples(int_text(-3, 7), int_text(-3, 30)).map(
+        lambda a: ["d2", "--n", a[0], "--q", a[1]]),
+    st.tuples(int_text(-3, 200), int_text(-3, 6)).map(
+        lambda a: ["ss", "--n", a[0], "--weight", a[1]]),
+    st.tuples(int_text(-10 ** 6, 10 ** 6), int_text(-10 ** 6, 10 ** 6)).map(
+        lambda a: ["plucker", "--a", a[0], "--b", a[1]]),
+    st.sampled_from(["1", "2", "3", "4", "x", ""]).map(lambda d: ["charts", "--degree", d]),
+    st.tuples(int_text(-2, 4), int_text(-2, 10 ** 4), int_text(-2, 4)).map(
+        lambda a: ["ideals", "--n", a[0], "--q", a[1], "--k", a[2]]),
+    st.one_of(
+        st.lists(st.integers(min_value=-30, max_value=30), max_size=3).map(
+            lambda form: ",".join(map(str, form))),
+        st.text(alphabet="0123456789,- x", max_size=8),
+    ).map(lambda form: ["witt", "--form", form]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subcommand_args, st.booleans())
+def test_generated_subcommand_inputs_exit_cleanly(args, as_json):
+    args = args + (["--json"] if as_json else [])
+    start = time.perf_counter()
+    result = run(*args)
+    elapsed = time.perf_counter() - start
+    assert result.exit_code in (0, 1, 2), (args, result.output, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), args
+    assert "Traceback" not in result.output
+    assert elapsed < 2, (args, elapsed)

@@ -2,7 +2,7 @@
 
 import importlib.util
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -275,3 +275,21 @@ def test_partition_roundtrip():
 def test_box_partition_count():
     assert len(box_partitions(3, 3)) == 20
     assert box_partitions(3, 3, weight_filter=4) == [(2, 1, 1), (2, 2), (3, 1)]
+
+
+def test_box_partitions_match_full_box_filter():
+    # Reference: every partition in the box, sorted by (weight, parts), then
+    # filtered by weight; order included.
+    def full_box(k, cols):
+        # Weakly decreasing k-tuples with entries in 0..cols, zeros dropped.
+        parts = {tuple(p for p in reversed(c) if p)
+                 for c in combinations_with_replacement(range(cols + 1), k)}
+        return sorted(parts, key=lambda p: (sum(p), p))
+
+    for k in range(7):
+        for cols in range(7):
+            everything = full_box(k, cols)
+            assert box_partitions(k, cols) == everything, (k, cols)
+            for w in range(-1, k * cols + 2):
+                expected = [p for p in everything if sum(p) == w]
+                assert box_partitions(k, cols, weight_filter=w) == expected, (k, cols, w)

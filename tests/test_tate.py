@@ -1,5 +1,6 @@
 """Multi-index patterns, Chern twist expansions and the d2 matrix."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -8,7 +9,6 @@ from chowkit.exact import Poly
 from chowkit.tate import (
     NotPrimeError,
     SliceRangeError,
-    TatePattern,
     chern_twist,
     chern_twist_product,
     consistency_report,
@@ -60,11 +60,11 @@ def test_multi_index_formatting():
 
 
 def test_gl_pattern_degree_two():
-    assert gl_tate_pattern(2).entries == {(0, 0): 1, (1, 1): 1, (2, 3): 1, (3, 4): 1}
+    assert gl_tate_pattern(2) == Counter({(0, 0): 1, (1, 1): 1, (2, 3): 1, (3, 4): 1})
 
 
 def test_gl_pattern_degree_one():
-    assert gl_tate_pattern(1).entries == {(0, 0): 1, (1, 1): 1}
+    assert gl_tate_pattern(1) == Counter({(0, 0): 1, (1, 1): 1})
 
 
 def test_gl_pattern_total_counts():
@@ -72,11 +72,20 @@ def test_gl_pattern_total_counts():
         assert gl_tate_pattern(n).total() == 2 ** n
 
 
+def test_gl_pattern_matches_subset_listing():
+    # The pattern is counted off prod (1 + y t^i); listing every subset of
+    # {1..n} is the reference.
+    for n in range(1, 14):
+        listed = Counter((sum(c), 2 * sum(c) - r)
+                         for r in range(n + 1) for c in combinations(range(1, n + 1), r))
+        assert gl_tate_pattern(n) == listed, n
+
+
 def test_slice_patterns_degree_three():
     sp = slice_patterns(3)
-    assert sp[1] == TatePattern({(1, 1): 1})
-    assert sp[3] == TatePattern({(3, 4): 1, (3, 5): 1})
-    assert sp[9] == TatePattern({(9, 16): 1})
+    assert sp[1] == Counter({(1, 1): 1})
+    assert sp[3] == Counter({(3, 4): 1, (3, 5): 1})
+    assert sp[9] == Counter({(9, 16): 1})
     assert set(sp) == {1, 2, 3, 4, 5, 6, 9}
 
 
@@ -159,20 +168,21 @@ def test_d2_oracle_equivalence_exhaustive():
 
 
 def test_d2_structure_rules():
-    for n in (3, 5):
-        for q in range(1, max_weight(n) + 1):
-            m = d2_matrix(n, q)
-            for i, row in enumerate(m.row_indices):
-                for j, col in enumerate(m.col_indices):
-                    value = m.entries[i][j]
-                    if len(row) != len(col):
-                        assert value == 0
-                        continue
-                    diffs = [(a, b) for a, b in zip(row, col) if a != b]
-                    if len(diffs) == 1 and diffs[0][1] == diffs[0][0] + 1:
-                        assert value == diffs[0][0] % n
-                    else:
-                        assert value == 0
+    cases = [(n, q) for n in (3, 5, 7) for q in range(1, max_weight(n) + 1)]
+    cases += [(11, q) for q in range(9, 13)]
+    for n, q in cases:
+        m = d2_matrix(n, q)
+        for i, row in enumerate(m.row_indices):
+            for j, col in enumerate(m.col_indices):
+                value = m.entries[i][j]
+                if len(row) != len(col):
+                    assert value == 0
+                    continue
+                diffs = [(a, b) for a, b in zip(row, col) if a != b]
+                if len(diffs) == 1 and diffs[0][1] == diffs[0][0] + 1:
+                    assert value == diffs[0][0] % n
+                else:
+                    assert value == 0
 
 
 def test_d2_json_labels():
