@@ -135,6 +135,32 @@ def test_unresolvable_differential():
         apply_d2(synthetic)
 
 
+def _one_arrow(source, target):
+    """A weight-2 page with the single arrow (0, 2) -> (2, 1)."""
+    return E2Page(3, 2, {(0, 2): source, (2, 1): target},
+                  (Differential((0, 2), (2, 1), 1, "c"),))
+
+
+@pytest.mark.parametrize("source, target", [
+    (direct_sum([Z, Z]), cyclic(3)),                       # two-summand source
+    (Z, direct_sum([cyclic(3), cyclic(3)])),                # two-summand target
+    (Z, Z),                                                  # free target
+    (Z, NZ),                                                 # nZ target
+])
+def test_rewrite_rules_refuse_other_shapes(source, target):
+    with pytest.raises(UnresolvableDifferentialError):
+        apply_d2(_one_arrow(source, target))
+
+
+def test_rewrite_rule_kernels():
+    units = cech_group(3, 1, 1)
+    assert render_group(units) == "F*"
+    for source, kernel in ((units, "(F*)^n"), (Z, "nZ")):
+        for target in (cyclic(3), units):
+            page = apply_d2(_one_arrow(source, target))
+            assert {key: render_group(g) for key, g in page.cells.items()} == {(0, 2): kernel}
+
+
 # -- assembly ------------------------------------------------------------------------
 
 
