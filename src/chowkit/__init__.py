@@ -7,13 +7,13 @@ integer-coefficient polynomials; there is no floating point in the package.
 
 from .exact import IntMatrix, Poly, SmithForm, det_exact, invertible_over_localization, \
     poly_mul, smith_normal_form
-from .algebras import QuatAlgebra, QuatElement, SplitAlgebra, conj, enumerate_right_ideals, \
-    independent, independent_left_ideal, nrd, quat_independent, quat_mul, trd
+from .algebras import QuatAlgebra, QuatElement, SplitAlgebra, enumerate_right_ideals, \
+    independent, independent_left_ideal, nrd, quat_mul
 from .schubert import GrChowClass, box_partitions, duality_pairing, parse_partition, \
     pieri, point_count, schur_product
 from .hyperplane import P2SectionClass, SectionClass, basis_certificate, gram_matrix, \
-    hyperplane_mul, intersection_pairing, rational_cycle, restrict_from_gr, \
-    tate_iso_check, verify_c3_twist_identity, verify_cycle_recursion
+    hyperplane_mul, intersection_pairing, rational_cycle, tate_iso_check, \
+    verify_c3_twist_identity, verify_cycle_recursion
 from .tate import chern_twist, chern_twist_product, d2_matrix, \
     enumerate_multi_indices, gl_tate_pattern, slice_consistency, slice_patterns
 from .spectral import apply_d2, assemble, build_e2, render_group, weight_table

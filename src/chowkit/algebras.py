@@ -141,33 +141,11 @@ def quat_mul(u: QuatElement, v: QuatElement) -> QuatElement:
     )
 
 
-def conj(u: QuatElement) -> QuatElement:
-    """Standard involution x - y*i - z*j - w*k, so u * conj(u) = nrd(u)."""
-    return QuatElement(u.algebra, u.x, -u.y, -u.z, -u.w)
-
-
 def nrd(u: QuatElement):
     """Reduced norm x^2 - a*y^2 - b*z^2 + a*b*w^2, exact (symbolic if needed)."""
     a, b = u.algebra.a, u.algebra.b
     x, y, z, w = u.components()
     return x * x - a * y * y - b * z * z + a * b * w * w
-
-
-def trd(u: QuatElement):
-    """Reduced trace 2x."""
-    return 2 * u.x
-
-
-def left_mult_matrix(u: QuatElement):
-    """Matrix of left multiplication by u in the basis (1, i, j, k).
-
-    Column t holds the coordinates of u * basis_t, so stacking these matrices
-    turns independence of a quaternion tuple into a rank condition.
-    """
-    alg = u.algebra
-    basis = (alg.one(), alg.gen_i(), alg.gen_j(), alg.gen_k())
-    cols = [quat_mul(u, e).components() for e in basis]
-    return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
 
 
 def symbolic_quaternion(prefix: str, algebra: QuatAlgebra | None = None) -> QuatElement:
@@ -211,12 +189,6 @@ class SplitAlgebra:
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"expected an {n}x{n} matrix")
         return rows
-
-    def zero_matrix(self) -> tuple:
-        return self.matrix([[0] * self.n for _ in range(self.n)])
-
-    def identity_matrix(self) -> tuple:
-        return self.matrix([[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)])
 
     @lru_cache(maxsize=1024)
     def unit_matrix(self, i: int, j: int) -> tuple:
@@ -277,22 +249,6 @@ def _left_translates(alg: SplitAlgebra, e: tuple) -> tuple:
     n = alg.n
     return tuple(tuple(v for row in alg.mat_mul(alg.unit_matrix(i, j), e) for v in row)
                  for i in range(n) for j in range(n))
-
-
-def quat_independent(elements) -> bool:
-    """Independence for quaternions over Q via the regular representation.
-
-    Stacks the 4x4 left-multiplication matrices into a (4l) x 4 rational
-    matrix; the tuple is independent iff that matrix has rank 4.
-    """
-    elements = tuple(elements)
-    if not elements:
-        raise EmptyTupleError("independence of an empty tuple")
-    for e in elements:
-        if any(isinstance(v, Poly) for v in e.components()):
-            raise TypeError("rank test needs numeric components")
-    stacked = [row for e in elements for row in left_mult_matrix(e)]
-    return rank_fractions(stacked) == 4
 
 
 # -- subspaces and right ideals over small prime fields ----------------------

@@ -24,7 +24,7 @@ from .hyperplane import SectionClass, basis_certificate, gram_matrix, hyperplane
     standard_collection, tate_iso_check, verify_c3_twist_identity, verify_cycle_recursion
 from .schubert import GrChowClass, box_partitions, format_partition, parse_partition, \
     pieri, point_count, schur_product
-from .spectral import SPLIT_EXTENSION_NOTE, Atom, NZ, PowerSubN, Z, direct_sum, \
+from .spectral import SPLIT_EXTENSION_NOTE, NZ, Z, atom, direct_sum, power_n, \
     render_group, weight_table
 from .tate import consistency_report, d2_matrix, d2_matrix_from_chern, \
     gl_tate_pattern, slice_consistency, max_weight
@@ -174,9 +174,9 @@ def _check_d2_oracle():
 def _expected_weight_tables():
     return {
         1: {1: Z},
-        2: {2: Atom("F*"), 3: NZ},
-        3: {1: Atom("H^{0,2}(F)"), 2: Atom("H^{1,2}(F)"), 3: Atom("H^{2,2}(F)"),
-            4: direct_sum([Z, PowerSubN(Atom("F*"))]), 5: NZ},
+        2: {2: atom("F*"), 3: NZ},
+        3: {1: atom("H^{0,2}(F)"), 2: atom("H^{1,2}(F)"), 3: atom("H^{2,2}(F)"),
+            4: direct_sum([Z, power_n("F*")]), 5: NZ},
     }
 
 

@@ -224,14 +224,6 @@ class Poly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True)
 
-    def constant_value(self):
-        """Scalar value of a constant polynomial; raises otherwise."""
-        if not self.terms:
-            return 0
-        if self.variables:
-            raise ValueError("polynomial is not constant")
-        return self.terms[()]
-
     def coefficient(self, name: str, power: int) -> "Poly":
         """Coefficient of name**power, as a polynomial in the other variables."""
         if name not in self.variables:
@@ -412,10 +404,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -424,11 +412,6 @@ class IntMatrix:
 
     def to_lists(self):
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        cols, entries = self.cols, self.entries
-        return IntMatrix._trusted(
-            cols, self.rows, tuple(chain.from_iterable(entries[j::cols] for j in range(cols))))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -534,12 +517,6 @@ class SmithForm:
     diagonal: tuple
     left: IntMatrix
     right: IntMatrix
-
-    def diagonal_matrix(self, rows: int, cols: int) -> IntMatrix:
-        out = [[0] * cols for _ in range(rows)]
-        for i, d in enumerate(self.diagonal):
-            out[i][i] = d
-        return IntMatrix.from_rows(out) if rows else IntMatrix(0, cols, [])
 
 
 def _bezout_step(x: int, y: int):

@@ -15,15 +15,12 @@ and pull-back force two.
 
 from __future__ import annotations
 
-import json
-
 from .exact import IntMatrix, Poly, det_exact, invertible_over_localization
 from .schubert import (
     GrChowClass,
     add_box_targets,
     box_partitions,
     duality_pairing,
-    format_partition,
     normalize_partition,
     pieri,
     schur_product,
@@ -34,10 +31,6 @@ COLS = N - K
 DIM_GR = K * COLS          # 9
 DIM_X = DIM_GR - 1         # 8
 MIDDLE = DIM_X // 2        # 4
-
-
-class CodimOutOfRangeError(ValueError):
-    """Restriction asked for a degree where pull-back is not injective-onto."""
 
 
 class TopCodimError(ValueError):
@@ -113,9 +106,6 @@ class SectionClass:
     def __sub__(self, other: "SectionClass") -> "SectionClass":
         return self + (-other)
 
-    def scale(self, c: int) -> "SectionClass":
-        return SectionClass(self.codim, {p: c * v for p, v in self.terms.items()})
-
     def reduce_mod(self, m: int) -> "SectionClass":
         """Coefficients reduced to symmetric representatives mod m."""
         out = {}
@@ -147,13 +137,6 @@ class SectionClass:
     def __repr__(self):
         return f"SectionClass(codim={self.codim}, {self})"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"codim": self.codim,
-             "terms": {format_partition(p): c for p, c in sorted(self.terms.items())}},
-            sort_keys=True,
-        )
-
 
 def fundamental_class() -> SectionClass:
     return SectionClass.label(0, ())
@@ -161,15 +144,6 @@ def fundamental_class() -> SectionClass:
 
 def point_class() -> SectionClass:
     return SectionClass.label(8, (3, 3, 3))
-
-
-def restrict_from_gr(c: GrChowClass) -> SectionClass:
-    """Pull a Grassmannian class of codimension <= 4 back to X, same labels."""
-    if (c.k, c.n) != (K, N):
-        raise ValueError("restriction is defined on Gr(3,6) classes")
-    if c.codim > MIDDLE:
-        raise CodimOutOfRangeError("pull-back labels stop at the middle degree")
-    return SectionClass(c.codim, dict(c.terms))
 
 
 def hyperplane_mul(x: SectionClass) -> SectionClass:

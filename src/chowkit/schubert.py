@@ -42,12 +42,6 @@ def weight(parts) -> int:
     return sum(parts)
 
 
-def complement_partition(parts, k: int, cols: int) -> tuple:
-    """The complementary partition inside the k x cols box."""
-    padded = tuple(parts) + (0,) * (k - len(parts))
-    return normalize_partition(tuple(cols - padded[k - 1 - i] for i in range(k)))
-
-
 def box_partitions(k: int, cols: int, weight_filter: int | None = None):
     """All partitions in the k x cols box, sorted by (weight, parts).
 
@@ -142,10 +136,6 @@ class GrChowClass:
         parts = normalize_partition(parts)
         return cls(k, n, weight(parts), {parts: 1})
 
-    @classmethod
-    def zero(cls, k: int, n: int, codim: int) -> "GrChowClass":
-        return cls(k, n, codim, {})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -172,9 +162,6 @@ class GrChowClass:
 
     def __sub__(self, other: "GrChowClass") -> "GrChowClass":
         return self + (-other)
-
-    def scale(self, c: int) -> "GrChowClass":
-        return GrChowClass(self.k, self.n, self.codim, {p: c * v for p, v in self.terms.items()})
 
     def coefficient(self, parts) -> int:
         return self.terms.get(normalize_partition(parts), 0)

@@ -1,7 +1,7 @@
 """Symbolic slice spectral sequence in weights 1..3.
 
-Groups are symbolic tokens (Z, nZ, Z/m, named atoms, their n-th power
-subgroups and finite direct sums) rather than concrete abelian groups: the
+Groups are finite direct sums of symbolic summands (Z, nZ, Z/m, named atoms
+and their n-th power subgroups) rather than concrete abelian groups: the
 answers of the computation are expressed in tokens like F* that have no finite
 model, and the only operation the pages ever need is taking the kernel and
 cokernel of a surjection "multiply by a unit mod n, then reduce".  The unit is
@@ -30,101 +30,46 @@ class HigherDifferentialError(ValueError):
 
 
 # -- symbolic groups -----------------------------------------------------------
+# A group is a tuple of summands and () is zero.  A summand is a (kind, text)
+# pair: the kind is "Z", "nZ" (the index-n subgroup of Z), "cyclic", "atom" (a
+# named group) or "power" (the n-th powers of an atom), and the text is how it
+# renders.
 
 
-@dataclass(frozen=True)
-class GroupExpr:
-    pass
+ZERO = ()
+Z = (("Z", "Z"),)
+NZ = (("nZ", "nZ"),)
 
 
-@dataclass(frozen=True)
-class ZeroGroup(GroupExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class FreeZ(GroupExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class SubN(GroupExpr):
-    """The index-n subgroup nZ of the free group."""
-
-
-@dataclass(frozen=True)
-class CyclicGroup(GroupExpr):
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("cyclic order must be positive")
-
-
-@dataclass(frozen=True)
-class Atom(GroupExpr):
-    name: str
-
-
-@dataclass(frozen=True)
-class PowerSubN(GroupExpr):
-    """The subgroup of n-th powers (elements divisible by n) of an atom."""
-
-    atom: Atom
-
-
-@dataclass(frozen=True)
-class SumGroup(GroupExpr):
-    parts: tuple
-
-
-ZERO = ZeroGroup()
-Z = FreeZ()
-NZ = SubN()
-
-
-def cyclic(order: int) -> GroupExpr:
+def cyclic(order: int) -> tuple:
+    if order < 1:
+        raise ValueError("cyclic order must be positive")
     # Z/1 is trivial.
-    return ZERO if order == 1 else CyclicGroup(order)
+    return ZERO if order == 1 else (("cyclic", f"Z/{order}"),)
 
 
-def direct_sum(parts) -> GroupExpr:
-    """Flattened, zero-free direct sum; empty sums collapse to zero."""
-    flat = []
-    for part in parts:
-        if isinstance(part, SumGroup):
-            flat.extend(part.parts)
-        elif not isinstance(part, ZeroGroup):
-            flat.append(part)
-    if not flat:
-        return ZERO
-    if len(flat) == 1:
-        return flat[0]
-    return SumGroup(tuple(flat))
+def atom(name: str) -> tuple:
+    return (("atom", name),)
 
 
-def render_group(g: GroupExpr) -> str:
-    if isinstance(g, ZeroGroup):
-        return "0"
-    if isinstance(g, FreeZ):
-        return "Z"
-    if isinstance(g, SubN):
-        return "nZ"
-    if isinstance(g, CyclicGroup):
-        return f"Z/{g.order}"
-    if isinstance(g, Atom):
-        return g.name
-    if isinstance(g, PowerSubN):
-        return f"({g.atom.name})^n"
-    if isinstance(g, SumGroup):
-        return " + ".join(render_group(p) for p in g.parts)
-    raise TypeError(f"unknown group expression {g!r}")
+def power_n(name: str) -> tuple:
+    """The subgroup of n-th powers (elements divisible by n) of an atom."""
+    return (("power", f"({name})^n"),)
+
+
+def direct_sum(parts) -> tuple:
+    """The summands of the parts in order; empty sums are zero."""
+    return tuple(summand for part in parts for summand in part)
+
+
+def render_group(g: tuple) -> str:
+    return " + ".join(text for _, text in g) or "0"
 
 
 # -- the coefficient tables -----------------------------------------------------
 
 
-def cech_group(n: int, p: int, w: int) -> GroupExpr:
+def cech_group(n: int, p: int, w: int) -> tuple:
     """Motivic cohomology of the Cech object of the conic-like base, w <= 2.
 
     Weight 0 is Z in degree 0; weight 1 is the units F* in degree 1 and Z/n in
@@ -138,14 +83,14 @@ def cech_group(n: int, p: int, w: int) -> GroupExpr:
         return Z if p == 0 else ZERO
     if w == 1:
         if p == 1:
-            return Atom("F*")
+            return atom("F*")
         if p == 3:
             return cyclic(n)
         return ZERO
     if p <= 2:
-        return Atom(f"H^{{{p},2}}(F)")
+        return atom(f"H^{{{p},2}}(F)")
     if p == 4:
-        return Atom("K1(F)/n[A]")
+        return atom("K1(F)/n[A]")
     return ZERO
 
 
@@ -161,9 +106,6 @@ class Differential:
     factor: int           # the bumped index value i_t mod n; a unit mod n
     unit: str             # symbolic unit carried along, never consulted
 
-    def label(self) -> str:
-        return f"{self.factor}*{self.unit}*[A]"
-
 
 @dataclass(frozen=True)
 class E2Page:
@@ -176,7 +118,7 @@ class E2Page:
         # cells stays a dict, so the generated hash would fail on it.
         return hash((self.n, self.weight, frozenset(self.cells.items()), self.differentials))
 
-    def cell(self, p: int, q: int) -> GroupExpr:
+    def cell(self, p: int, q: int) -> tuple:
         return self.cells.get((p, q), ZERO)
 
     def support(self):
@@ -197,7 +139,7 @@ def _row_summands(n: int, j: int, q: int):
         # Nonzero table columns for this coefficient weight.
         for p0 in range(0, 5):
             group = cech_group(n, p0, w)
-            if isinstance(group, ZeroGroup):
+            if not group:
                 continue
             p = p0 + shift - q
             out.append((index, p, group))
@@ -246,20 +188,21 @@ def build_e2(n: int, j: int, unit: str = "c") -> E2Page:
     return E2Page(n, j, cells, tuple(diffs))
 
 
-def _kernel(group: GroupExpr) -> GroupExpr:
-    if isinstance(group, FreeZ):
-        return NZ
-    if isinstance(group, Atom):
-        return PowerSubN(group)
+def _kernel(group: tuple) -> tuple:
+    if len(group) == 1:
+        kind, text = group[0]
+        if kind == "Z":
+            return NZ
+        if kind == "atom":
+            return power_n(text)
     raise UnresolvableDifferentialError(
         f"no kernel rule for source {render_group(group)}")
 
 
-def _check_target(group: GroupExpr):
-    if isinstance(group, (CyclicGroup, Atom)):
-        return
-    raise UnresolvableDifferentialError(
-        f"no cokernel rule for target {render_group(group)}")
+def _check_target(group: tuple):
+    if len(group) != 1 or group[0][0] not in ("cyclic", "atom"):
+        raise UnresolvableDifferentialError(
+            f"no cokernel rule for target {render_group(group)}")
 
 
 def apply_d2(page: E2Page) -> E2Page:
@@ -276,7 +219,7 @@ def apply_d2(page: E2Page) -> E2Page:
         _check_target(target)
         cells[diff.source] = _kernel(source)
         cells[diff.target] = ZERO
-    cells = {key: g for key, g in cells.items() if not isinstance(g, ZeroGroup)}
+    cells = {key: g for key, g in cells.items() if g}
     return E2Page(page.n, page.weight, cells, ())
 
 
@@ -309,5 +252,5 @@ SPLIT_EXTENSION_NOTE = "extensions across the abutment filtration are taken spli
 
 
 def weight_table(n: int, j: int, unit: str = "c") -> dict:
-    """Assembled weight-j table for degree n: degree -> GroupExpr."""
+    """Assembled weight-j table for degree n: degree -> group."""
     return assemble(apply_d2(build_e2(n, j, unit=unit)))

@@ -71,37 +71,29 @@ def format_multi_index(index) -> str:
     return "{" + ",".join(str(i) for i in index) + "}"
 
 
-def parse_multi_index(text: str) -> tuple:
-    body = text.strip()
-    if body.startswith("{") and body.endswith("}"):
-        body = body[1:-1]
-    body = body.strip()
-    if not body:
-        return ()
-    values = tuple(int(v) for v in body.split(","))
-    if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
-        raise ValueError("multi-index must be strictly increasing")
-    return values
-
-
 # -- Tate patterns ------------------------------------------------------------
 # A Tate pattern is a Counter (twist q, shift p) -> multiplicity.
 
 
-def gl_tate_pattern(n: int) -> Counter:
-    """Tate pattern of GL_n: one summand Z(|I|)[2|I|-l(I)] per multi-index.
+def _pattern_product(first: int, n: int) -> Counter:
+    """The pattern counted off prod_{i=first..n} (1 + y t^i).
 
-    Counted off the generating function prod_{i=1..n} (1 + y t^i): the factor
-    for i either skips i or adds it to the multi-index, which raises the
-    twist by i and the shift by 2i - 1.
+    The factor for i either skips i or adds it to the multi-index, which
+    raises the twist by i and the shift by 2i - 1.
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
     pattern = Counter({(0, 0): 1})
-    for i in range(1, n + 1):
+    for i in range(first, n + 1):
         for (q, p), m in list(pattern.items()):
             pattern[q + i, p + 2 * i - 1] += m
     return pattern
+
+
+def gl_tate_pattern(n: int) -> Counter:
+    """Tate pattern of GL_n: one summand Z(|I|)[2|I|-l(I)] per multi-index
+    I in {1..n}, counted off prod_{i=1..n} (1 + y t^i)."""
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    return _pattern_product(1, n)
 
 
 def max_weight(n: int) -> int:
@@ -261,15 +253,16 @@ def consistency_report() -> dict:
 
     GL of a quaternion algebra: Z + conic(1)[1] + Z(3)[4] with the conic read
     as P^1 and the twisted summand read as Z must reproduce the GL_2 pattern.
-    SL_1: Z + Z(2)[3] must reproduce the norm-one pattern for degree 2.  The
-    slice consistency identity is checked for n = 2 and 3.
+    SL_1: Z + Z(2)[3] must reproduce the norm-one pattern for degree 2, read
+    off prod_{i=2..n} (1 + y t^i) as M(SL_n) has one summand per multi-index
+    in {2..n}.  The slice consistency identity is checked for n = 2 and 3.
     """
     point = Counter({(0, 0): 1})
     p1 = Counter({(0, 0): 1, (1, 2): 1})
     conic = Counter({(q + 1, p + 1): m for (q, p), m in p1.items()})
     gl_ok = point + conic + Counter({(3, 4): 1}) == gl_tate_pattern(2)
 
-    sl_ok = point + Counter({(2, 3): 1}) == Counter({(0, 0): 1, (2, 3): 1})
+    sl_ok = point + Counter({(2, 3): 1}) == _pattern_product(2, 2)
 
     slices_ok = {n: slice_consistency(n) for n in (2, 3)}
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from chowkit.algebras import QuatAlgebra, conj, quat_mul, symbolic_quaternion, trd
+from chowkit.algebras import QuatAlgebra, quat_mul, symbolic_quaternion
 from chowkit.exact import Poly, det_expansion
 from chowkit.geometry import (
     all_charts,
@@ -22,6 +22,7 @@ from chowkit.geometry import (
     verify_quadric_identity,
     witt_split,
 )
+from test_algebras import conj
 
 
 # -- Pluecker embedding -----------------------------------------------------------
@@ -39,6 +40,11 @@ def test_embed_numeric_example():
     point = plucker_embed(alg.one(), alg.gen_i())
     assert point.norms[0] * point.norms[1] == -2
     assert quadric_form_value(alg, point.u) == -2
+
+
+def trd(u):
+    """Reduced trace 2x."""
+    return 2 * u.x
 
 
 def test_u1_is_half_trace_of_pair_product():

@@ -12,9 +12,9 @@ from chowkit.schubert import (
     CodimMismatchError,
     GrChowClass,
     box_partitions,
-    complement_partition,
     duality_pairing,
     format_partition,
+    normalize_partition,
     parse_partition,
     pieri,
     point_count,
@@ -27,6 +27,12 @@ ORACLES = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
 
 def sch(parts):
     return GrChowClass.schubert(3, 6, parts)
+
+
+def complement_partition(parts, k: int, cols: int) -> tuple:
+    """The complementary partition inside the k x cols box."""
+    padded = tuple(parts) + (0,) * (k - len(parts))
+    return normalize_partition(tuple(cols - padded[k - 1 - i] for i in range(k)))
 
 
 # -- Pieri rule ----------------------------------------------------------------
@@ -52,7 +58,7 @@ def test_schur_matches_pieri_for_the_example():
 
 
 def test_schur_unit():
-    x = sch((2, 1)) + sch((3,)).scale(4)
+    x = sch((2, 1)) + GrChowClass(3, 6, 3, {(3,): 4})
     assert schur_product(sch(()), x) == x
 
 

@@ -3,24 +3,22 @@
 import pytest
 
 from chowkit.spectral import (
-    Atom,
-    CyclicGroup,
     E2Page,
     HigherDifferentialError,
     NZ,
-    PowerSubN,
-    SumGroup,
     UnresolvableDifferentialError,
     WeightOutOfRangeError,
     Z,
     ZERO,
     apply_d2,
     assemble,
+    atom,
     build_e2,
     cech_group,
     cyclic,
     direct_sum,
     Differential,
+    power_n,
     render_group,
     weight_table,
 )
@@ -31,30 +29,35 @@ from chowkit.tate import NotPrimeError
 
 
 def test_direct_sum_normalization():
-    assert direct_sum([]) == ZERO
+    assert direct_sum([]) == ZERO == ()
     assert direct_sum([ZERO, Z]) == Z
-    flat = direct_sum([Z, direct_sum([Atom("F*"), Z])])
-    assert flat == SumGroup((Z, Atom("F*"), Z))
+    flat = direct_sum([Z, direct_sum([atom("F*"), Z])])
+    assert flat == (("Z", "Z"), ("atom", "F*"), ("Z", "Z"))
 
 
 def test_cyclic_one_is_zero():
     assert cyclic(1) == ZERO
-    assert cyclic(3) == CyclicGroup(3)
+    assert cyclic(3) == (("cyclic", "Z/3"),)
+    for order in (0, -2):
+        with pytest.raises(ValueError):
+            cyclic(order)
 
 
 def test_rendering():
+    assert render_group(ZERO) == "0"
     assert render_group(NZ) == "nZ"
-    assert render_group(PowerSubN(Atom("F*"))) == "(F*)^n"
-    assert render_group(direct_sum([Z, PowerSubN(Atom("F*"))])) == "Z + (F*)^n"
+    assert render_group(cyclic(3)) == "Z/3"
+    assert render_group(power_n("F*")) == "(F*)^n"
+    assert render_group(direct_sum([Z, power_n("F*")])) == "Z + (F*)^n"
 
 
 def test_cech_table_entries():
     assert cech_group(3, 0, 0) == Z
     assert cech_group(3, 1, 0) == ZERO
-    assert cech_group(3, 1, 1) == Atom("F*")
-    assert cech_group(3, 3, 1) == CyclicGroup(3)
-    assert cech_group(3, 2, 2) == Atom("H^{2,2}(F)")
-    assert cech_group(3, 4, 2) == Atom("K1(F)/n[A]")
+    assert cech_group(3, 1, 1) == atom("F*")
+    assert cech_group(3, 3, 1) == cyclic(3)
+    assert cech_group(3, 2, 2) == atom("H^{2,2}(F)")
+    assert cech_group(3, 4, 2) == atom("K1(F)/n[A]")
     with pytest.raises(ValueError):
         cech_group(3, 0, 3)
 
@@ -70,12 +73,11 @@ def test_weight_one_single_cell():
 
 def test_weight_two_grid_and_differential():
     page = build_e2(3, 2)
-    assert page.cells == {(1, 1): Atom("F*"), (3, 1): CyclicGroup(3), (1, 2): Z}
+    assert page.cells == {(1, 1): atom("F*"), (3, 1): cyclic(3), (1, 2): Z}
     assert len(page.differentials) == 1
     diff = page.differentials[0]
     assert (diff.source, diff.target) == ((1, 2), (3, 1))
-    assert diff.factor == 1
-    assert diff.label() == "1*c*[A]"
+    assert (diff.factor, diff.unit) == (1, "c")
 
 
 def test_weight_three_differentials():
@@ -111,13 +113,13 @@ def test_build_input_validation():
 
 def test_apply_d2_weight_two():
     page = apply_d2(build_e2(3, 2))
-    assert page.cells == {(1, 1): Atom("F*"), (1, 2): NZ}
+    assert page.cells == {(1, 1): atom("F*"), (1, 2): NZ}
     assert page.differentials == ()
 
 
 def test_apply_d2_weight_three_kernels():
     page = apply_d2(build_e2(3, 3))
-    assert page.cell(2, 2) == PowerSubN(Atom("F*"))
+    assert page.cell(2, 2) == power_n("F*")
     assert page.cell(2, 3) == NZ
     assert page.cell(4, 1) == ZERO
     assert page.cell(4, 2) == ZERO
@@ -129,7 +131,7 @@ def test_zero_differential_passthrough():
 
 
 def test_unresolvable_differential():
-    synthetic = E2Page(3, 2, {(0, 2): CyclicGroup(3), (2, 1): CyclicGroup(3)},
+    synthetic = E2Page(3, 2, {(0, 2): cyclic(3), (2, 1): cyclic(3)},
                        (Differential((0, 2), (2, 1), 1, "c"),))
     with pytest.raises(UnresolvableDifferentialError):
         apply_d2(synthetic)
@@ -166,12 +168,12 @@ def test_rewrite_rule_kernels():
 
 def test_assemble_weight_tables():
     assert weight_table(3, 1) == {1: Z}
-    assert weight_table(3, 2) == {2: Atom("F*"), 3: NZ}
+    assert weight_table(3, 2) == {2: atom("F*"), 3: NZ}
     assert weight_table(3, 3) == {
-        1: Atom("H^{0,2}(F)"),
-        2: Atom("H^{1,2}(F)"),
-        3: Atom("H^{2,2}(F)"),
-        4: direct_sum([Z, PowerSubN(Atom("F*"))]),
+        1: atom("H^{0,2}(F)"),
+        2: atom("H^{1,2}(F)"),
+        3: atom("H^{2,2}(F)"),
+        4: direct_sum([Z, power_n("F*")]),
         5: NZ,
     }
 
@@ -198,7 +200,7 @@ def test_round_trip_idempotence():
 
 
 def test_higher_differential_guard():
-    synthetic = E2Page(3, 3, {(0, 3): Z, (3, 1): CyclicGroup(3)}, ())
+    synthetic = E2Page(3, 3, {(0, 3): Z, (3, 1): cyclic(3)}, ())
     with pytest.raises(HigherDifferentialError):
         assemble(synthetic)
 
@@ -206,7 +208,7 @@ def test_higher_differential_guard():
 def test_degree_two_engine_runs():
     # The engine is generic over the prime; degree 2 assembles its own table.
     table = weight_table(2, 2)
-    assert table == {2: Atom("F*"), 3: NZ}
+    assert table == {2: atom("F*"), 3: NZ}
 
 
 def test_large_prime_tables_match_small_prime():

@@ -1,0 +1,67 @@
+"""Every public function and class of chowkit has a caller in the package.
+
+A top-level public function or class must be loaded somewhere in ``src/chowkit``
+outside its own definition and outside ``__init__.py``, or be one of the
+functions the benchmark's tracer wraps.  The CLI's click commands and groups
+are entry points and need no caller.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "chowkit"
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def traced_functions():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {(layer, name) for layer, names in tracer.TRACED_FUNCTIONS.items() for name in names}
+
+
+def is_cli_command(node) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def loads(node, bound=frozenset()):
+    """Names that node loads from the module scope: a function's parameters
+    and assignments shadow the module's names inside it."""
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        bound = bound | {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)} \
+            | {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+        yield node.id
+    for child in ast.iter_child_nodes(node):
+        yield from loads(child, bound)
+
+
+def orphans():
+    """(module, name) for every public top-level def or class with no caller."""
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"}
+    imports = {stem: {(node.module, alias.name) for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and node.level == 1
+                      for alias in node.names}
+               for stem, tree in modules.items()}
+    traced = traced_functions()
+    out = []
+    for stem, tree in modules.items():
+        for defn in tree.body:
+            if not isinstance(defn, (ast.FunctionDef, ast.ClassDef)) or defn.name.startswith("_"):
+                continue
+            if (stem, defn.name) in traced or is_cli_command(defn):
+                continue
+            used = any(defn.name in loads(stmt) for stmt in tree.body if stmt is not defn) or any(
+                (stem, defn.name) in imports[other] and defn.name in loads(other_tree)
+                for other, other_tree in modules.items() if other != stem)
+            if not used:
+                out.append(f"{stem}.{defn.name}")
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    assert orphans() == []

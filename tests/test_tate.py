@@ -18,9 +18,9 @@ from chowkit.tate import (
     format_multi_index,
     gl_tate_pattern,
     max_weight,
-    parse_multi_index,
     slice_consistency,
     slice_patterns,
+    _pattern_product,
 )
 
 
@@ -51,9 +51,6 @@ def test_weighted_enumeration_matches_subset_filter():
 
 def test_multi_index_formatting():
     assert format_multi_index((1, 3)) == "{1,3}"
-    assert parse_multi_index("{1,3}") == (1, 3)
-    with pytest.raises(ValueError):
-        parse_multi_index("{2,2}")
 
 
 # -- Tate patterns ------------------------------------------------------------------
@@ -79,6 +76,18 @@ def test_gl_pattern_matches_subset_listing():
         listed = Counter((sum(c), 2 * sum(c) - r)
                          for r in range(n + 1) for c in combinations(range(1, n + 1), r))
         assert gl_tate_pattern(n) == listed, n
+
+
+def test_gl_pattern_is_sl_pattern_times_gm():
+    # M(GL_n) = M(SL_n) (Z + Z(1)[1]), and M(SL_n) has one summand per
+    # multi-index in {2..n}: the factors i = 2..n of the generating function.
+    for n in range(1, 14):
+        sl = _pattern_product(2, n)
+        listed = Counter((sum(c), 2 * sum(c) - r)
+                         for r in range(n) for c in combinations(range(2, n + 1), r))
+        assert sl == listed, n
+        gm_twist = Counter({(q + 1, p + 1): m for (q, p), m in sl.items()})
+        assert gl_tate_pattern(n) == sl + gm_twist, n
 
 
 def test_slice_patterns_degree_three():
