@@ -54,9 +54,6 @@ class QuatAlgebra:
     def element(self, x=0, y=0, z=0, w=0) -> "QuatElement":
         return QuatElement(self, x, y, z, w)
 
-    def one(self) -> "QuatElement":
-        return self.element(1)
-
     def gen_i(self) -> "QuatElement":
         return self.element(0, 1)
 

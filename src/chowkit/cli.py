@@ -8,9 +8,9 @@ identical runs produce identical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import click
 
@@ -19,9 +19,10 @@ from .algebras import SplitAlgebra, QuatAlgebra, enumerate_right_ideals, indepen
 from .exact import IntMatrix, det_exact, invertible_over_localization
 from .geometry import all_charts, chart_equation, classify_all_charts, plucker_embed, \
     quadric_form_value, quadric_identity_samples, verify_quadric_identity, witt_split
-from .hyperplane import SectionClass, basis_certificate, gram_matrix, hyperplane_mul, \
-    c3_twist_residual, middle_classes, pairing_matrix, rational_cycle, reference_bases, \
-    standard_collection, tate_iso_check, verify_c3_twist_identity, verify_cycle_recursion
+from .hyperplane import SectionClass, basis_certificate, format_cycle, gram_matrix, \
+    hyperplane_mul, c3_twist_residual, middle_classes, pairing_matrix, rational_cycle, \
+    reference_bases, standard_collection, tate_iso_check, verify_c3_twist_identity, \
+    verify_cycle_recursion
 from .schubert import GrChowClass, box_partitions, format_partition, parse_partition, \
     pieri, point_count, schur_product
 from .spectral import SPLIT_EXTENSION_NOTE, NZ, Z, atom, direct_sum, power_n, \
@@ -30,34 +31,37 @@ from .tate import consistency_report, d2_matrix, d2_matrix_from_chern, \
     gl_tate_pattern, slice_consistency, max_weight
 
 
-@dataclass
-class Report:
-    command: str
-    inputs: dict
-    status: str                 # pass | fail | info
-    payload: dict
+def _report(command: str, inputs: dict, status: str, payload: dict, as_json: bool,
+            text=None):
+    """Print one report and exit: 0 on pass or info, 1 on fail.
 
-    def to_json(self) -> str:
-        doc = {"command": self.command, "inputs": self.inputs,
-               "status": self.status, "payload": self.payload}
-        return json.dumps(doc, sort_keys=True, default=str)
-
-    def to_text(self) -> str:
-        lines = [f"[{self.status}] {self.command}"]
-        for key, value in self.inputs.items():
-            lines.append(f"  input {key}: {value}")
-        for key, value in sorted(self.payload.items()):
-            lines.append(f"  {key}: {json.dumps(value, sort_keys=True, default=str)}")
-        return "\n".join(lines)
-
-
-def _finish(report: Report, as_json: bool):
-    click.echo(report.to_json() if as_json else report.to_text())
-    sys.exit(0 if report.status in ("pass", "info") else 1)
+    With --json the report is one JSON document with the keys command, inputs,
+    status and payload.  Otherwise it is the command's own text lines if it
+    gives them, else a generic listing of the inputs and the payload.
+    """
+    if as_json:
+        doc = {"command": command, "inputs": inputs, "status": status, "payload": payload}
+        click.echo(json.dumps(doc, sort_keys=True, default=str))
+    else:
+        if text is None:
+            text = [f"[{status}] {command}"]
+            text += [f"  input {key}: {value}" for key, value in inputs.items()]
+            text += [f"  {key}: {json.dumps(value, sort_keys=True, default=str)}"
+                     for key, value in sorted(payload.items())]
+        click.echo("\n".join(text))
+    sys.exit(0 if status in ("pass", "info") else 1)
 
 
-def _json_option(fn):
-    return click.option("--json", "as_json", is_flag=True, help="emit a JSON document")(fn)
+def _subcommand(fn):
+    """Give a subcommand its --json flag and turn any ValueError into a usage
+    error (exit 2, the message on stderr)."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except ValueError as err:
+            raise click.UsageError(str(err))
+    return click.option("--json", "as_json", is_flag=True, help="emit a JSON document")(run)
 
 
 # -- the verification battery ---------------------------------------------------
@@ -101,7 +105,7 @@ def _check_cycle_recursion():
     ok = True
     for i in range(1, 5):
         holds, residual = verify_cycle_recursion(i)
-        results[str(i)] = {"holds": holds, "residual": str(residual)}
+        results[str(i)] = {"holds": holds, "residual": format_cycle(residual)}
         ok = ok and holds
     return ok, {"steps": results}
 
@@ -241,26 +245,19 @@ def verify():
 
 
 @verify.command("all")
-@_json_option
+@_subcommand
 def verify_all(as_json):
     """Run the full verification battery; exit 0 only if everything passes."""
     checks = []
-    failed = []
     for name, fn in VERIFICATIONS:
         ok, payload = fn()
         checks.append({"name": name, "status": "pass" if ok else "fail",
                        "detail": payload})
-        if not ok:
-            failed.append(name)
+    failed = [check["name"] for check in checks if check["status"] == "fail"]
     status = "pass" if not failed else "fail"
-    report = Report("verify all", {}, status, {"checks": checks, "failed": failed})
-    if as_json:
-        click.echo(report.to_json())
-    else:
-        for check in checks:
-            click.echo(f"[{check['status']}] {check['name']}")
-        click.echo(f"result: {status} ({len(checks) - len(failed)}/{len(checks)} passed)")
-    sys.exit(0 if status == "pass" else 1)
+    lines = [f"[{check['status']}] {check['name']}" for check in checks]
+    lines.append(f"result: {status} ({len(checks) - len(failed)}/{len(checks)} passed)")
+    _report("verify all", {}, status, {"checks": checks, "failed": failed}, as_json, lines)
 
 
 @main.group("schubert")
@@ -273,42 +270,27 @@ def schubert_group():
 @click.argument("second")
 @click.option("--xring", is_flag=True,
               help="multiply inside the hyperplane-section ring (one factor must be (1))")
-@_json_option
+@_subcommand
 def schubert_mul(first, second, xring, as_json):
     """Product of two Schubert classes, e.g. mul "(2,2)" "(1)"."""
-    try:
-        lam = parse_partition(first)
-        mu = parse_partition(second)
-        if xring:
-            if mu == (1,):
-                base = lam
-            elif lam == (1,):
-                base = mu
-            else:
-                raise click.UsageError(
-                    "--xring multiplies by the hyperplane: one factor must be (1)")
-            result = hyperplane_mul(SectionClass.label(_infer_codim(base), base))
-            report = Report("schubert mul",
-                            {"first": first, "second": second, "xring": True},
-                            "info", {"result": str(result), "codim": result.codim})
-        else:
-            product = schur_product(GrChowClass.schubert(3, 6, lam),
-                                    GrChowClass.schubert(3, 6, mu))
-            report = Report("schubert mul",
-                            {"first": first, "second": second, "xring": False},
-                            "info", {"result": str(product), "codim": product.codim})
-    except ValueError as err:
-        raise click.UsageError(str(err))
-    _finish(report, as_json)
+    lam = parse_partition(first)
+    mu = parse_partition(second)
+    if xring:
+        if (1,) not in (lam, mu):
+            raise ValueError("--xring multiplies by the hyperplane: one factor must be (1)")
+        result = hyperplane_mul(_section_label(lam if mu == (1,) else mu))
+    else:
+        result = schur_product(GrChowClass.schubert(3, 6, lam), GrChowClass.schubert(3, 6, mu))
+    _report("schubert mul", {"first": first, "second": second, "xring": xring}, "info",
+            {"result": str(result), "codim": result.codim}, as_json)
 
 
-def _infer_codim(parts) -> int:
+def _section_label(parts) -> SectionClass:
+    """The section class with label parts, in the codimension its degree gives."""
     w = sum(parts)
-    if w <= 4:
-        return w
-    if w >= 6:
-        return w - 1
-    raise click.UsageError("labels of degree 5 do not occur in the section ring")
+    if w == 5:
+        raise ValueError("labels of degree 5 do not occur in the section ring")
+    return SectionClass.label(w if w <= 4 else w - 1, parts)
 
 
 @main.group("xring")
@@ -318,159 +300,127 @@ def xring_group():
 
 @xring_group.command("mul-h")
 @click.argument("label")
-@_json_option
+@_subcommand
 def xring_mul_h(label, as_json):
     """Multiply a section class by the hyperplane class."""
-    try:
-        parts = parse_partition(label)
-        result = hyperplane_mul(SectionClass.label(_infer_codim(parts), parts))
-    except ValueError as err:
-        raise click.UsageError(str(err))
-    report = Report("xring mul-h", {"label": label}, "info",
-                    {"result": str(result), "codim": result.codim})
-    _finish(report, as_json)
+    result = hyperplane_mul(_section_label(parse_partition(label)))
+    _report("xring mul-h", {"label": label}, "info",
+            {"result": str(result), "codim": result.codim}, as_json)
 
 
 @main.command("gram")
-@_json_option
+@_subcommand
 def gram_command(as_json):
     """Gram matrix of the three middle-degree classes."""
     ok, payload = _check_gram_certificate()
-    report = Report("gram", {}, "pass" if ok else "fail", payload)
-    _finish(report, as_json)
+    _report("gram", {}, "pass" if ok else "fail", payload, as_json)
 
 
 @main.command("alphas")
-@_json_option
+@_subcommand
 def alphas_command(as_json):
     """List the five rational cycles and verify their mod-3 recursion."""
     ok, steps = _check_cycle_recursion()
-    cycles = {str(i): str(rational_cycle(i)) for i in range(1, 6)}
-    report = Report("alphas", {}, "pass" if ok else "fail",
-                    {"cycles": cycles, **steps})
-    _finish(report, as_json)
+    cycles = {str(i): format_cycle(rational_cycle(i)) for i in range(1, 6)}
+    _report("alphas", {}, "pass" if ok else "fail", {"cycles": cycles, **steps}, as_json)
 
 
 @main.command("bases")
-@_json_option
+@_subcommand
 def bases_command(as_json):
     """Unimodularity certificates for the six reference bases."""
     ok, payload = _check_basis_certificates()
     lists = {str(c): [str(cls) for cls in classes]
              for c, classes in sorted(reference_bases().items())}
-    report = Report("bases", {}, "pass" if ok else "fail", {"bases": lists, **payload})
-    _finish(report, as_json)
+    _report("bases", {}, "pass" if ok else "fail", {"bases": lists, **payload}, as_json)
 
 
 @main.command("tateiso")
 @click.option("--invert", "inverted", multiple=True, type=int,
               help="prime to invert (repeatable)")
-@_json_option
+@_subcommand
 def tateiso_command(inverted, as_json):
     """Invertibility of the pairing matrix of the standard collection."""
     primes = set(inverted)
     classes = standard_collection()
     det = det_exact(pairing_matrix(classes))
-    try:
-        # The 1x1 matrix (det) localizes exactly as the pairing matrix does.
-        ok = invertible_over_localization(IntMatrix.from_rows([[det]]), primes)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    # The 1x1 matrix (det) localizes exactly as the pairing matrix does.
+    ok = invertible_over_localization(IntMatrix.from_rows([[det]]), primes)
     collection = [{"codim": c, "class": str(cls)} for c, cls in classes]
-    report = Report("tateiso", {"invert": sorted(primes)},
-                    "pass" if ok else "fail",
-                    {"invertible": ok, "determinant": det,
-                     "collection_size": len(collection), "collection": collection})
-    _finish(report, as_json)
+    _report("tateiso", {"invert": sorted(primes)}, "pass" if ok else "fail",
+            {"invertible": ok, "determinant": det,
+             "collection_size": len(collection), "collection": collection}, as_json)
 
 
 @main.command("glmotive")
 @click.option("--n", "n", required=True, type=int)
-@_json_option
+@_subcommand
 def glmotive_command(n, as_json):
     """Tate pattern of GL_n and its total-count identity."""
-    try:
-        pattern = gl_tate_pattern(n)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    pattern = gl_tate_pattern(n)
     ok = pattern.total() == 2 ** n
-    report = Report("glmotive", {"n": n}, "pass" if ok else "fail",
-                    {"pattern": _pattern_json(pattern), "total": pattern.total()})
-    _finish(report, as_json)
+    _report("glmotive", {"n": n}, "pass" if ok else "fail",
+            {"pattern": _pattern_json(pattern), "total": pattern.total()}, as_json)
 
 
 @main.command("d2")
 @click.option("--n", "n", required=True, type=int)
 @click.option("--q", "q", required=True, type=int)
-@_json_option
+@_subcommand
 def d2_command(n, q, as_json):
     """The second-differential matrix between twists q and q+1."""
-    try:
-        matrix = d2_matrix(n, q)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    matrix = d2_matrix(n, q)
     oracle = d2_matrix_from_chern(n, q)
     ok = matrix.entries == oracle.entries
-    report = Report("d2", {"n": n, "q": q}, "pass" if ok else "fail",
-                    {"matrix": json.loads(matrix.to_json()), "oracle_agrees": ok})
-    _finish(report, as_json)
+    _report("d2", {"n": n, "q": q}, "pass" if ok else "fail",
+            {"matrix": json.loads(matrix.to_json()), "oracle_agrees": ok}, as_json)
 
 
 @main.command("ss")
 @click.option("--n", "n", required=True, type=int)
 @click.option("--weight", "weight", required=True, type=int)
-@_json_option
+@_subcommand
 def ss_command(n, weight, as_json):
     """Assembled spectral-sequence table for one weight."""
-    try:
-        table = weight_table(n, weight)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    table = weight_table(n, weight)
     rendered = {str(p): render_group(g) for p, g in sorted(table.items())}
-    report = Report("ss", {"n": n, "weight": weight}, "info",
-                    {"table": rendered, "assumptions": [SPLIT_EXTENSION_NOTE]})
-    if as_json:
-        _finish(report, as_json)
-    click.echo(f"[info] ss (n={n}, weight={weight})")
     width = max(len(k) for k in rendered)
-    for p, group in sorted(rendered.items(), key=lambda kv: int(kv[0])):
-        click.echo(f"  p={p:<{width}}  {group}")
-    click.echo(f"  note: {SPLIT_EXTENSION_NOTE}")
-    sys.exit(0)
+    lines = [f"[info] ss (n={n}, weight={weight})"]
+    lines += [f"  p={p:<{width}}  {group}" for p, group in rendered.items()]
+    lines.append(f"  note: {SPLIT_EXTENSION_NOTE}")
+    _report("ss", {"n": n, "weight": weight}, "info",
+            {"table": rendered, "assumptions": [SPLIT_EXTENSION_NOTE]}, as_json, lines)
 
 
 @main.command("quadric")
-@_json_option
+@_subcommand
 def quadric_command(as_json):
     """Symbolic and sampled verification of the embedding quadric identity."""
     ok, payload = _check_quadric_identity()
-    report = Report("quadric", {}, "pass" if ok else "fail", payload)
-    _finish(report, as_json)
+    _report("quadric", {}, "pass" if ok else "fail", payload, as_json)
 
 
 @main.command("plucker")
 @click.option("--a", "a", required=True, type=int)
 @click.option("--b", "b", required=True, type=int)
-@_json_option
+@_subcommand
 def plucker_command(a, b, as_json):
     """Pluecker embedding of a generic pair for numeric structure constants."""
     if a == 0 or b == 0:
-        raise click.UsageError("structure constants must be nonzero")
+        raise ValueError("structure constants must be nonzero")
     alg = QuatAlgebra(a, b)
     a1 = symbolic_quaternion("1", alg)
     a2 = symbolic_quaternion("2", alg)
     point = plucker_embed(a1, a2)
     residual = point.norms[0] * point.norms[1] - quadric_form_value(alg, point.u)
     ok = residual.is_zero
-    report = Report("plucker", {"a": a, "b": b}, "pass" if ok else "fail",
-                    {"u": [str(u) for u in point.u],
-                     "identity_holds": ok})
-    _finish(report, as_json)
+    _report("plucker", {"a": a, "b": b}, "pass" if ok else "fail",
+            {"u": [str(u) for u in point.u], "identity_holds": ok}, as_json)
 
 
 @main.command("charts")
 @click.option("--degree", "degree", type=click.Choice(["2", "3"]), required=True)
-@_json_option
+@_subcommand
 def charts_command(degree, as_json):
     """Classify every chart of the block-determinant hyperplane."""
     degree = int(degree)
@@ -481,56 +431,45 @@ def charts_command(degree, as_json):
         rows.append({"pivots": list(pivots), "kind": cls.kind,
                      "pivot_variable": cls.pivot_variable,
                      "equation": str(cls.equation)})
-    ok = len(rows) == len(all_charts(degree))
-    report = Report("charts", {"degree": degree}, "pass" if ok else "fail",
-                    {"charts": rows, "count": len(rows)})
-    if as_json:
-        _finish(report, as_json)
-    click.echo(f"[{report.status}] charts (degree={degree}, {len(rows)} charts)")
+    status = "pass" if len(rows) == len(all_charts(degree)) else "fail"
+    lines = [f"[{status}] charts (degree={degree}, {len(rows)} charts)"]
     for row in rows:
         pivots = ",".join(str(p) for p in row["pivots"])
         pivot_var = row["pivot_variable"] or "-"
-        click.echo(f"  {{{pivots}}}  {row['kind']:<5}  pivot={pivot_var:<4}  {row['equation']}")
-    sys.exit(0 if ok else 1)
+        lines.append(f"  {{{pivots}}}  {row['kind']:<5}  pivot={pivot_var:<4}  {row['equation']}")
+    _report("charts", {"degree": degree}, status, {"charts": rows, "count": len(rows)},
+            as_json, lines)
 
 
 @main.command("ideals")
 @click.option("--n", "n", required=True, type=int)
 @click.option("--q", "q", required=True, type=int)
 @click.option("--k", "k", required=True, type=int)
-@_json_option
+@_subcommand
 def ideals_command(n, q, k, as_json):
     """Enumerate right ideals of rank k*n in M_n(F_q)."""
-    try:
-        count, ideals = enumerate_right_ideals(SplitAlgebra(n, q), k)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    count, ideals = enumerate_right_ideals(SplitAlgebra(n, q), k)
     expected = point_count(k, n, q)
     ok = count == expected
-    report = Report("ideals", {"n": n, "q": q, "k": k}, "pass" if ok else "fail",
-                    {"count": count, "gaussian_binomial": expected,
-                     "subspaces": [[list(r) for r in ideal.subspace] for ideal in ideals]})
-    _finish(report, as_json)
+    _report("ideals", {"n": n, "q": q, "k": k}, "pass" if ok else "fail",
+            {"count": count, "gaussian_binomial": expected,
+             "subspaces": [[list(r) for r in ideal.subspace] for ideal in ideals]}, as_json)
 
 
 @main.command("witt")
 @click.option("--form", "form", required=True,
               help="comma-separated diagonal entries, e.g. 1,-2,-3,6,-1")
-@_json_option
+@_subcommand
 def witt_command(form, as_json):
     """Witt decomposition of a diagonal rational quadratic form."""
-    try:
-        entries = [int(v) for v in form.split(",") if v.strip()]
-        if not entries:
-            raise ValueError("empty form")
-        decomposition = witt_split(entries)
-    except ValueError as err:
-        raise click.UsageError(str(err))
-    report = Report("witt", {"form": form}, "pass",
-                    {"hyperbolic_planes": decomposition.planes,
-                     "residual": [str(d) for d in decomposition.residual],
-                     "search_exhausted": decomposition.search_exhausted})
-    _finish(report, as_json)
+    entries = [int(v) for v in form.split(",") if v.strip()]
+    if not entries:
+        raise ValueError("empty form")
+    decomposition = witt_split(entries)
+    _report("witt", {"form": form}, "pass",
+            {"hyperbolic_planes": decomposition.planes,
+             "residual": [str(d) for d in decomposition.residual],
+             "search_exhausted": decomposition.search_exhausted}, as_json)
 
 
 if __name__ == "__main__":

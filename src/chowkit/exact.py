@@ -213,6 +213,8 @@ class Poly:
         return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self):
+        if not self.variables:      # a constant equals its scalar, so hashes like it
+            return hash(self.terms.get((), 0))
         return hash((self.variables, frozenset(self.terms.items())))
 
     # -- structure ----------------------------------------------------------
@@ -399,10 +401,6 @@ class IntMatrix:
         if any(len(r) != cols for r in data):
             raise ValueError("ragged rows")
         return cls(rows, cols, chain.from_iterable(data))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]

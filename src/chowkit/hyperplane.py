@@ -18,7 +18,6 @@ from __future__ import annotations
 from .exact import IntMatrix, Poly, det_exact, invertible_over_localization
 from .schubert import (
     GrChowClass,
-    add_box_targets,
     box_partitions,
     duality_pairing,
     normalize_partition,
@@ -80,10 +79,6 @@ class SectionClass:
     def label(cls, codim: int, parts) -> "SectionClass":
         return cls(codim, {normalize_partition(parts): 1})
 
-    @classmethod
-    def zero(cls, codim: int) -> "SectionClass":
-        return cls(codim, {})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -129,7 +124,9 @@ class SectionClass:
         return self.terms == other.terms and (self.is_zero or self.codim == other.codim)
 
     def __hash__(self):
-        return hash((self.codim, frozenset(self.terms.items())))
+        # A nonzero class's terms fix its codim, and zero classes of every
+        # codim are equal.
+        return hash(frozenset(self.terms.items()))
 
     def __str__(self):
         return str(self.to_gr())
@@ -155,17 +152,10 @@ def hyperplane_mul(x: SectionClass) -> SectionClass:
     """
     if x.codim >= DIM_X:
         raise TopCodimError("no room above the top degree")
-    out = {}
-    for parts, coeff in x.terms.items():
-        if x.codim == MIDDLE:
-            targets = []
-            for mid in add_box_targets(parts, K, COLS):
-                targets.extend(add_box_targets(mid, K, COLS))
-        else:
-            targets = add_box_targets(parts, K, COLS)
-        for t in targets:
-            out[t] = out.get(t, 0) + coeff
-    return SectionClass(x.codim + 1, out)
+    product = pieri(x.to_gr())
+    if x.codim == MIDDLE:
+        product = pieri(product)
+    return SectionClass(x.codim + 1, product.terms)
 
 
 def intersection_pairing(x: SectionClass, y: SectionClass) -> int:
@@ -200,78 +190,6 @@ def gram_matrix(classes) -> IntMatrix:
 # -- rational cycles on P^2 x X ----------------------------------------------
 
 
-class P2SectionClass:
-    """A class c0 + H*c1 + H^2*c2 on P^2 x X, H the hyperplane of P^2.
-
-    Components are SectionClass values; the total codimension is homogeneous,
-    so component d has codim total - d.  Powers H^3 and beyond vanish.
-    """
-
-    __slots__ = ("total_codim", "components")
-
-    def __init__(self, total_codim: int, components):
-        comps = {}
-        for d, cls in dict(components).items():
-            if d not in (0, 1, 2):
-                raise ValueError("P^2 factor only supports H^0, H^1, H^2")
-            if cls.is_zero:
-                continue
-            if cls.codim != total_codim - d:
-                raise ValueError("components are not codimension-homogeneous")
-            comps[d] = cls
-        object.__setattr__(self, "total_codim", total_codim)
-        object.__setattr__(self, "components", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("P2SectionClass is immutable")
-
-    def component(self, d: int) -> SectionClass:
-        return self.components.get(d, SectionClass.zero(self.total_codim - d))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def hyperplane_mul(self) -> "P2SectionClass":
-        # H is pulled back from the other factor, so it commutes past each c_d.
-        out = {d: hyperplane_mul(c) for d, c in self.components.items()}
-        return P2SectionClass(self.total_codim + 1, out)
-
-    def __sub__(self, other: "P2SectionClass") -> "P2SectionClass":
-        if self.total_codim != other.total_codim:
-            raise ValueError("difference of inhomogeneous classes")
-        out = {}
-        for d in (0, 1, 2):
-            out[d] = self.component(d) - other.component(d)
-        return P2SectionClass(self.total_codim, out)
-
-    def reduce_mod(self, m: int) -> "P2SectionClass":
-        return P2SectionClass(self.total_codim,
-                              {d: c.reduce_mod(m) for d, c in self.components.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, P2SectionClass):
-            return NotImplemented
-        return all(self.component(d) == other.component(d) for d in (0, 1, 2)) \
-            and (self.is_zero or self.total_codim == other.total_codim)
-
-    def __hash__(self):
-        return hash((self.total_codim, tuple(self.component(d) for d in (0, 1, 2))))
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for d, prefix in ((0, ""), (1, "H*"), (2, "H^2*")):
-            c = self.component(d)
-            if not c.is_zero:
-                parts.append(f"{prefix}[{c}]")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"P2SectionClass(codim={self.total_codim}, {self})"
-
-
 # The five certified rational cycles, stored verbatim as label tables:
 # index -> (total codim, {H-power: {partition: coefficient}}).
 _CYCLE_TABLE = {
@@ -293,27 +211,39 @@ _CYCLE_TABLE = {
 }
 
 
-def rational_cycle(i: int) -> P2SectionClass:
-    """The i-th certified rational cycle on P^2 x X, i in 1..5."""
+def rational_cycle(i: int) -> tuple:
+    """The i-th certified rational cycle on P^2 x X, i in 1..5, as (c0, c1, c2).
+
+    The cycle is c0 + H*c1 + H^2*c2 with H the hyperplane of P^2 (H^3 = 0).
+    Its total codimension is homogeneous, so c_d is a SectionClass of codim
+    total - d.
+    """
     if i not in _CYCLE_TABLE:
         raise IndexOutOfRangeError("rational cycles are numbered 1..5")
     total, table = _CYCLE_TABLE[i]
-    comps = {d: SectionClass(total - d, terms) for d, terms in table.items()}
-    return P2SectionClass(total, comps)
+    return tuple(SectionClass(total - d, table[d]) for d in range(3))
+
+
+def format_cycle(cycle) -> str:
+    """A cycle (c0, c1, c2) as "[c0] + H*[c1] + H^2*[c2]", zero terms left out, or "0"."""
+    terms = [f"{prefix}[{c}]" for prefix, c in zip(("", "H*", "H^2*"), cycle) if not c.is_zero]
+    return " + ".join(terms) or "0"
 
 
 def verify_cycle_recursion(i: int):
     """Check that hyperplane * cycle(i) is cycle(i+1) modulo 3.
 
-    Returns (holds, residual) where the residual is the mod-3 reduction of the
-    difference; the recursion is a verification of the stored table, not a
-    construction.
+    Returns (holds, residual) where the residual is the triple of mod-3
+    reductions of the differences, component by component; the recursion is a
+    verification of the stored table, not a construction.  The hyperplane
+    class of X and H come from different factors, so they commute and the
+    product acts on each component c_d alone.
     """
     if not 1 <= i <= 4:
         raise IndexOutOfRangeError("recursion steps are numbered 1..4")
-    lhs = rational_cycle(i).hyperplane_mul()
-    residual = (lhs - rational_cycle(i + 1)).reduce_mod(3)
-    return residual.is_zero, residual
+    residual = tuple((hyperplane_mul(c) - c_next).reduce_mod(3)
+                     for c, c_next in zip(rational_cycle(i), rational_cycle(i + 1)))
+    return all(r.is_zero for r in residual), residual
 
 
 # -- certificates -------------------------------------------------------------
@@ -329,9 +259,7 @@ def reference_bases() -> dict:
     for c in (1, 2, 3, 5, 6, 7):
         classes = []
         for i in range(1, 6):
-            cyc = rational_cycle(i)
-            for d in (0, 1, 2):
-                comp = cyc.component(d)
+            for comp in rational_cycle(i):
                 if comp.codim == c and not comp.is_zero:
                     classes.append(comp)
         out[c] = classes
@@ -370,9 +298,7 @@ def standard_collection():
     """
     coll = [(0, fundamental_class())]
     for i in range(1, 6):
-        cyc = rational_cycle(i)
-        for d in (0, 1, 2):
-            comp = cyc.component(d)
+        for comp in rational_cycle(i):
             coll.append((comp.codim, comp))
     coll.append((8, point_class()))
     return coll

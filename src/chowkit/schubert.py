@@ -173,7 +173,9 @@ class GrChowClass:
             and (self.is_zero or self.codim == other.codim)
 
     def __hash__(self):
-        return hash((self.k, self.n, self.codim, frozenset(self.terms.items())))
+        # A nonzero class's terms fix its codim, and zero classes of every
+        # codim are equal.
+        return hash((self.k, self.n, frozenset(self.terms.items())))
 
     def __str__(self):
         if self.is_zero:

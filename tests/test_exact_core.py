@@ -65,6 +65,10 @@ def cofactor_det(rows) -> int:
     return total
 
 
+def identity(n: int) -> IntMatrix:
+    return IntMatrix(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+
+
 # -- polynomial basics ----------------------------------------------------------
 
 
@@ -100,6 +104,14 @@ def test_variable_order_is_canonical():
     assert hash(ab) == hash(ba)
     assert len({ab: 1, ba: 2}) == 1
     assert ab.variables == ba.variables == ("a", "b")
+
+
+def test_constants_hash_like_their_scalars():
+    for value in (0, 3, -7, Fraction(3), Fraction(-2, 5)):
+        assert Poly.const(value) == value
+        assert hash(Poly.const(value)) == hash(value)
+    assert len({Poly.const(3), 3}) == 1
+    assert len({Poly.var("x") - Poly.var("x"), 0}) == 1
 
 
 def test_coefficient_extraction():
@@ -302,7 +314,7 @@ def test_det_gram_matrix():
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_det_identity(k):
-    assert det_exact(IntMatrix.identity(k)) == 1
+    assert det_exact(identity(k)) == 1
 
 
 def test_det_codim5_base_change():
@@ -374,7 +386,7 @@ def test_smith_zero_matrix():
 
 
 def test_smith_identity():
-    assert smith_normal_form(IntMatrix.identity(3)).diagonal == (1, 1, 1)
+    assert smith_normal_form(identity(3)).diagonal == (1, 1, 1)
 
 
 rect_matrix = st.integers(min_value=1, max_value=4).flatmap(
@@ -509,10 +521,10 @@ def test_localization_gram():
 
 
 def test_localization_identity_and_zero():
-    assert invertible_over_localization(IntMatrix.identity(2), set())
+    assert invertible_over_localization(identity(2), set())
     assert not invertible_over_localization(IntMatrix(2, 2, [0] * 4), {2, 3})
 
 
 def test_localization_rejects_nonprime():
     with pytest.raises(ValueError):
-        invertible_over_localization(IntMatrix.identity(2), {4})
+        invertible_over_localization(identity(2), {4})

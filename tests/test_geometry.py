@@ -22,7 +22,7 @@ from chowkit.geometry import (
     verify_quadric_identity,
     witt_split,
 )
-from test_algebras import conj
+from test_algebras import conj, one
 
 
 # -- Pluecker embedding -----------------------------------------------------------
@@ -30,14 +30,14 @@ from test_algebras import conj
 
 def test_embed_unit_and_zero():
     alg = QuatAlgebra(2, 3)
-    point = plucker_embed(alg.one(), alg.element(0))
+    point = plucker_embed(one(alg), alg.element(0))
     assert point.norms == (1, 0, 1, 1, 1, 1)
     assert point.u == (0, 0, 0, 0)
 
 
 def test_embed_numeric_example():
     alg = QuatAlgebra(2, 3)
-    point = plucker_embed(alg.one(), alg.gen_i())
+    point = plucker_embed(one(alg), alg.gen_i())
     assert point.norms[0] * point.norms[1] == -2
     assert quadric_form_value(alg, point.u) == -2
 
@@ -77,7 +77,7 @@ def test_quadric_identity_samples():
 def test_quadric_identity_specializes_to_norm_form():
     alg = QuatAlgebra.symbolic()
     a1 = symbolic_quaternion("1", alg)
-    point = plucker_embed(a1, alg.one())
+    point = plucker_embed(a1, one(alg))
     assert point.u == tuple(Poly._coerce(c) for c in a1.components())
     assert Poly._coerce(point.norms[0]) == Poly._coerce(quadric_form_value(alg, point.u))
 

@@ -4,17 +4,18 @@ import random
 
 import pytest
 
+from chowkit import hyperplane
 from chowkit.exact import IntMatrix, Poly, det_exact
 from chowkit.hyperplane import (
     CodimMismatchError,
     IndexOutOfRangeError,
     NotSelfDualError,
-    P2SectionClass,
     RankMismatchError,
     SectionClass,
     TopCodimError,
     basis_certificate,
     c3_twist_residual,
+    format_cycle,
     fundamental_class,
     gram_matrix,
     hyperplane_mul,
@@ -63,6 +64,14 @@ def test_restrict_examples():
     assert r == xcls(4, (2, 1, 1))
     assert restrict_from_gr(GrChowClass.schubert(3, 6, ())) == fundamental_class()
     assert restrict_from_gr(GrChowClass.schubert(3, 6, (1,))) == xcls(1, (1,))
+
+
+def test_equal_classes_hash_equal():
+    # Zero classes of every codim are equal, so they must hash alike.
+    a, b = SectionClass(2, {}), SectionClass(6, {})
+    assert a == b
+    assert len({a, b}) == 1
+    assert len({xcls(3, (2, 1)) - xcls(3, (2, 1)), SectionClass(0, {})}) == 1
 
 
 def test_label_degree_rule():
@@ -169,15 +178,15 @@ def test_gram_matrix_symmetric_random():
 
 def test_cycle_table_spot_checks():
     a1 = rational_cycle(1)
-    assert a1.component(0) == xcls(3, (3,))
-    assert a1.component(1) == xcls(2, (2,))
-    assert a1.component(2) == xcls(1, (1,))
+    assert a1[0] == xcls(3, (3,))
+    assert a1[1] == xcls(2, (2,))
+    assert a1[2] == xcls(1, (1,))
     a4 = rational_cycle(4)
-    assert a4.component(0) == SectionClass(6, {(3, 2, 2): -1})
-    assert a4.component(1) == SectionClass(5, {(3, 2, 1): -1, (2, 2, 2): -1})
-    assert a4.component(2) == SectionClass(4, {(2, 2): -1})
+    assert a4[0] == SectionClass(6, {(3, 2, 2): -1})
+    assert a4[1] == SectionClass(5, {(3, 2, 1): -1, (2, 2, 2): -1})
+    assert a4[2] == SectionClass(4, {(2, 2): -1})
     a5 = rational_cycle(5)
-    assert a5.component(2) == SectionClass(5, {(3, 3): -1, (3, 2, 1): 1, (2, 2, 2): -1})
+    assert a5[2] == SectionClass(5, {(3, 3): -1, (3, 2, 1): 1, (2, 2, 2): -1})
 
 
 def test_cycle_index_range():
@@ -191,20 +200,20 @@ def test_cycle_recursion_holds():
     for i in range(1, 5):
         holds, residual = verify_cycle_recursion(i)
         assert holds
-        assert residual.is_zero
+        assert all(r.is_zero for r in residual)
+        assert format_cycle(residual) == "0"
 
 
-def test_cycle_recursion_detects_injected_defect():
-    perturbed = rational_cycle(2)
-    bump = P2SectionClass(4, {0: xcls(4, (3, 1))})
-    defective = P2SectionClass(4, {
-        0: perturbed.component(0) + bump.component(0),
-        1: perturbed.component(1),
-        2: perturbed.component(2),
-    })
-    residual = (rational_cycle(1).hyperplane_mul() - defective).reduce_mod(3)
-    assert not residual.is_zero
-    assert set(residual.component(0).terms) == {(3, 1)}
+def test_cycle_recursion_detects_injected_defect(monkeypatch):
+    # Bump the c0 component of cycle 2 by one (3,1) label.
+    total, table = hyperplane._CYCLE_TABLE[2]
+    bumped = {**table, 0: {**table[0], (3, 1): table[0][(3, 1)] + 1}}
+    monkeypatch.setitem(hyperplane._CYCLE_TABLE, 2, (total, bumped))
+    holds, residual = verify_cycle_recursion(1)
+    assert not holds
+    assert residual[0].terms == {(3, 1): -1}
+    assert residual[1].is_zero and residual[2].is_zero
+    assert format_cycle(residual) == "[-(3,1)]"
 
 
 # -- Tate-isomorphism and basis certificates ------------------------------------------------

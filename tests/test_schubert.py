@@ -50,6 +50,14 @@ def test_pieri_full_box_vanishes():
     assert pieri(sch((3, 3, 3))).is_zero
 
 
+def test_equal_classes_hash_equal():
+    # Zero classes of every codim are equal, so they must hash alike.
+    a, b = GrChowClass(3, 6, 2, {}), GrChowClass(3, 6, 5, {})
+    assert a == b
+    assert len({a, b}) == 1
+    assert len({pieri(sch((3, 3, 3))), GrChowClass(3, 6, 0, {})}) == 1
+
+
 # -- Schur-polynomial products ---------------------------------------------------
 
 
