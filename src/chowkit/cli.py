@@ -343,9 +343,9 @@ def tateiso_command(inverted, as_json):
     """Invertibility of the pairing matrix of the standard collection."""
     primes = set(inverted)
     classes = standard_collection()
-    det = det_exact(pairing_matrix(classes))
-    # The 1x1 matrix (det) localizes exactly as the pairing matrix does.
-    ok = invertible_over_localization(IntMatrix.from_rows([[det]]), primes)
+    matrix = pairing_matrix(classes)
+    det = det_exact(matrix)
+    ok = invertible_over_localization(matrix, primes)
     collection = [{"codim": c, "class": str(cls)} for c, cls in classes]
     _report("tateiso", {"invert": sorted(primes)}, "pass" if ok else "fail",
             {"invertible": ok, "determinant": det,
@@ -425,20 +425,24 @@ def charts_command(degree, as_json):
     """Classify every chart of the block-determinant hyperplane."""
     degree = int(degree)
     table = classify_all_charts(degree)
-    rows = []
-    for pivots in all_charts(degree):
-        cls = table[pivots]
-        rows.append({"pivots": list(pivots), "kind": cls.kind,
-                     "pivot_variable": cls.pivot_variable,
-                     "equation": str(cls.equation)})
-    status = "pass" if len(rows) == len(all_charts(degree)) else "fail"
+    expected = all_charts(degree)
+    rows = [{"pivots": list(pivots), "kind": cls.kind, "pivot_variable": cls.pivot_variable,
+             "equation": str(cls.equation)} for pivots, cls in sorted(table.items())]
+    payload = {"charts": rows, "count": len(rows)}
+    # Every chart of the degree is classified, and nothing else is.
+    mismatch = {"missing": [list(p) for p in expected if p not in table],
+                "extra": [list(p) for p in sorted(set(table) - set(expected))]}
+    status = "fail" if any(mismatch.values()) else "pass"
     lines = [f"[{status}] charts (degree={degree}, {len(rows)} charts)"]
     for row in rows:
         pivots = ",".join(str(p) for p in row["pivots"])
         pivot_var = row["pivot_variable"] or "-"
         lines.append(f"  {{{pivots}}}  {row['kind']:<5}  pivot={pivot_var:<4}  {row['equation']}")
-    _report("charts", {"degree": degree}, status, {"charts": rows, "count": len(rows)},
-            as_json, lines)
+    if status == "fail":
+        payload.update(mismatch)
+        lines += [f"  {key}: " + " ".join("{" + ",".join(map(str, p)) + "}" for p in charts)
+                  for key, charts in mismatch.items() if charts]
+    _report("charts", {"degree": degree}, status, payload, as_json, lines)
 
 
 @main.command("ideals")

@@ -370,9 +370,13 @@ def det_expansion(rows):
 
 
 class IntMatrix:
-    """Immutable integer matrix, row-major storage."""
+    """Immutable integer matrix, row-major storage.
 
-    __slots__ = ("rows", "cols", "entries")
+    The private ``_det`` slot holds the determinant once ``det_exact`` or a
+    square ``smith_normal_form`` has found it; it stays unset until then.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_det")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         entries = tuple(map(int, entries))
@@ -435,8 +439,19 @@ def det_exact(m: IntMatrix) -> int:
     """Exact determinant via Bareiss fraction-free elimination.
 
     All intermediate values are integers (the Bareiss division is exact), so
-    bit growth stays polynomial and the result is exact for any size.
+    bit growth stays polynomial and the result is exact for any size.  The
+    determinant is computed at most once per matrix: it is kept on the
+    (immutable) matrix, and a square ``smith_normal_form`` seeds it, so a
+    matrix that has been through either costs no further elimination.
     """
+    d = getattr(m, "_det", None)
+    if d is None:
+        d = _bareiss(m)
+        object.__setattr__(m, "_det", d)
+    return d
+
+
+def _bareiss(m: IntMatrix) -> int:
     if m.rows != m.cols:
         raise NonSquareError("determinant of a non-square matrix")
     n = m.rows
@@ -564,15 +579,26 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     Bezout column step, since any other sweep leaves both lines clear, and a
     unit pivot skips the divisibility scan.  None of this changes a step: the
     outputs are those of the same unimodular operations on the full matrices.
+
+    A square input's determinant comes for free.  det(left)*det(right) is a
+    unit that only the swaps and the negations flip (every other step has
+    determinant 1), so det(m) is that unit times the diagonal's product.  It
+    is kept on ``m`` for ``det_exact``; ``left`` and ``right`` are never seeded.
     """
     r, c = m.rows, m.cols
-    aug = [row + [0] * r for row in m.to_lists()]
+    entries = m.entries
+    aug = []
     for i in range(r):
-        aug[i][c + i] = 1
-    right_t = [[0] * c for _ in range(c)]
+        row = [*entries[i * c:i * c + c], *[0] * r]
+        row[c + i] = 1
+        aug.append(row)
+    right_t = []
     for j in range(c):
-        right_t[j][j] = 1
+        row = [0] * c
+        row[j] = 1
+        right_t.append(row)
 
+    unit = 1
     t = 0
     limit = min(r, c)
     while t < limit:
@@ -596,11 +622,13 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             break
         if pi != t:
             aug[pi], aug[t] = aug[t], aug[pi]
+            unit = -unit
         if pj != t:
             for i in range(t, r):
                 row = aug[i]
                 row[pj], row[t] = row[t], row[pj]
             right_t[pj], right_t[t] = right_t[t], right_t[pj]
+            unit = -unit
 
         while True:
             # A Bezout step on columns can refill column t, so sweep again
@@ -664,9 +692,12 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             aug[t] = [v + w for v, w in zip(aug[offender], aug[t])]  # row_t += row_offender
         if aug[t][t] < 0:
             aug[t] = [-v for v in aug[t]]
+            unit = -unit
         t += 1
 
     diagonal = tuple(aug[i][i] for i in range(limit))
+    if r == c:
+        object.__setattr__(m, "_det", reduce(mul, diagonal, unit))
     left = IntMatrix._trusted(r, r, tuple(chain.from_iterable(row[c:] for row in aug)))
     right = IntMatrix._trusted(c, c, tuple(chain.from_iterable(zip(*right_t))))
     return SmithForm(diagonal, left, right)

@@ -132,6 +132,33 @@ def test_charts_reports_verbatim_equation():
     assert len(rows) == 20
 
 
+@pytest.mark.parametrize("edit, key, pivots", [
+    (lambda table: table.pop((1, 2, 4)), "missing", [1, 2, 4]),
+    (lambda table: table.setdefault((1, 2, 7), table[(1, 2, 4)]), "extra", [1, 2, 7]),
+])
+def test_charts_fails_when_the_table_differs_from_the_charts(monkeypatch, edit, key, pivots):
+    import chowkit.cli as cli
+
+    classify = cli.classify_all_charts
+
+    def edited(degree):
+        table = classify(degree)
+        edit(table)
+        return table
+
+    monkeypatch.setattr(cli, "classify_all_charts", edited)
+    result = run("charts", "--degree", "3")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert lines[0].startswith("[fail] charts (degree=3")
+    assert f"  {key}: {{{','.join(map(str, pivots))}}}" in lines
+    result, doc = run_json("charts", "--degree", "3")
+    assert result.exit_code == 1
+    assert doc["status"] == "fail"
+    assert doc["payload"][key] == [pivots]
+
+
 def test_ideals_counts():
     _, doc = run_json("ideals", "--n", "3", "--q", "2", "--k", "1")
     assert doc["payload"]["count"] == 7

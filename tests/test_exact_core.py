@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from chowkit import exact
 from chowkit.exact import (
     IntMatrix,
     InexactDivisionError,
@@ -495,6 +496,70 @@ def test_smith_square_matches_sympy(rows):
 @given(integer_matrices())
 def test_smith_rectangular_and_rank_deficient_match_sympy(rows):
     assert_smith_form_against_sympy(rows)
+
+
+# -- one determinant per matrix ------------------------------------------------------
+
+
+def assert_smith_seeds_det(r, c, rows):
+    """A square Smith form leaves Bareiss's determinant on its input; a
+    rectangular one leaves none, and the transforms never get one."""
+    m = IntMatrix(r, c, [v for row in rows for v in row])
+    smith = smith_normal_form(m)
+    assert not hasattr(smith.left, "_det")
+    assert not hasattr(smith.right, "_det")
+    if r == c:
+        assert m._det == exact._bareiss(IntMatrix(r, c, m.entries))
+    else:
+        assert not hasattr(m, "_det")
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_matrices(square=True))
+def test_smith_seeded_det_matches_bareiss(rows):
+    assert_smith_seeds_det(len(rows), len(rows), rows)
+
+
+def test_smith_seeded_det_on_golden_cases():
+    # Every shape up to 8x8 (0x0 and rank-deficient ones included), the two
+    # former overruns, and seeded 10x10 and 12x12 matrices.
+    from test_smith_golden import golden_cases
+
+    for cases in golden_cases().values():
+        for r, c, rows in cases:
+            assert_smith_seeds_det(r, c, rows)
+
+
+def count_bareiss(monkeypatch) -> list:
+    calls = []
+    bareiss = exact._bareiss
+
+    def counted(m):
+        calls.append(m)
+        return bareiss(m)
+
+    monkeypatch.setattr(exact, "_bareiss", counted)
+    return calls
+
+
+def test_smith_then_det_and_localization_run_no_bareiss(monkeypatch):
+    expected = exact._bareiss(IntMatrix.from_rows(OVERRUN_7X7))
+    assert abs(expected) == 2 * 472800
+    calls = count_bareiss(monkeypatch)
+    m = IntMatrix.from_rows(OVERRUN_7X7)
+    smith_normal_form(m)
+    assert det_exact(m) == expected
+    assert invertible_over_localization(m, {2, 3, 5, 197})
+    assert not invertible_over_localization(m, {2, 3, 5})
+    assert calls == []
+
+
+def test_det_runs_bareiss_once_per_matrix(monkeypatch):
+    calls = count_bareiss(monkeypatch)
+    m = IntMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    assert det_exact(m) == det_exact(m) == -2
+    assert invertible_over_localization(m, {2})
+    assert calls == [m]
 
 
 # -- localized invertibility ---------------------------------------------------------
