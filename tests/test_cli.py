@@ -181,6 +181,19 @@ def test_more_usage_errors_exit_two():
     assert run("plucker", "--a", "0", "--b", "3").exit_code == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    # The degree-5 check comes before the box check: (5) escapes the box too.
+    (("xring", "mul-h", "(5)"), "labels of degree 5 do not occur in the section ring"),
+    (("schubert", "mul", "(4,1)", "(1)", "--xring"),
+     "labels of degree 5 do not occur in the section ring"),
+    (("xring", "mul-h", "(4)"), "partition (4,) escapes the 3x3 box"),
+])
+def test_section_label_errors_come_in_order(args, message):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert f"Error: {message}" in result.output.splitlines()
+
+
 @pytest.mark.parametrize("bad", ["0", "4", "-3"])
 def test_tateiso_nonprime_invert_is_a_usage_error(bad):
     result = run("tateiso", "--invert", "2", "--invert", bad)
