@@ -19,10 +19,10 @@ from .algebras import SplitAlgebra, QuatAlgebra, enumerate_right_ideals, indepen
 from .exact import IntMatrix, det_exact, invertible_over_localization
 from .geometry import all_charts, chart_equation, classify_all_charts, plucker_embed, \
     quadric_form_value, quadric_identity_samples, verify_quadric_identity, witt_split
-from .hyperplane import SectionClass, basis_certificate, format_cycle, gram_matrix, \
-    hyperplane_mul, c3_twist_residual, middle_classes, pairing_matrix, rational_cycle, \
-    reference_bases, standard_collection, tate_iso_check, verify_c3_twist_identity, \
-    verify_cycle_recursion
+from .hyperplane import basis_certificate, format_cycle, gram_matrix, hyperplane_mul, \
+    c3_twist_residual, middle_classes, pairing_matrix, rational_cycle, reference_bases, \
+    section_class, section_codim, standard_collection, tate_iso_check, \
+    verify_c3_twist_identity, verify_cycle_recursion
 from .schubert import GrChowClass, box_partitions, format_partition, parse_partition, \
     pieri, point_count, schur_product
 from .spectral import SPLIT_EXTENSION_NOTE, NZ, Z, atom, direct_sum, power_n, \
@@ -70,8 +70,8 @@ def _subcommand(fn):
 def _check_pieri_regression():
     gr = pieri(GrChowClass.schubert(3, 6, (2, 1, 1)))
     gr_ok = gr == GrChowClass(3, 6, 5, {(2, 2, 1): 1, (3, 1, 1): 1})
-    xr = hyperplane_mul(SectionClass.label(4, (2, 2)))
-    xr_ok = xr == SectionClass(5, {(3, 3): 1, (3, 2, 1): 2, (2, 2, 2): 1})
+    xr = hyperplane_mul(section_class(4, {(2, 2): 1}))
+    xr_ok = xr == section_class(5, {(3, 3): 1, (3, 2, 1): 2, (2, 2, 2): 1})
     return gr_ok and xr_ok, {"grassmannian": str(gr), "section": str(xr)}
 
 
@@ -278,19 +278,22 @@ def schubert_mul(first, second, xring, as_json):
     if xring:
         if (1,) not in (lam, mu):
             raise ValueError("--xring multiplies by the hyperplane: one factor must be (1)")
-        result = hyperplane_mul(_section_label(lam if mu == (1,) else mu))
+        payload = _mul_h(lam if mu == (1,) else mu)
     else:
         result = schur_product(GrChowClass.schubert(3, 6, lam), GrChowClass.schubert(3, 6, mu))
-    _report("schubert mul", {"first": first, "second": second, "xring": xring}, "info",
-            {"result": str(result), "codim": result.codim}, as_json)
+        payload = {"result": str(result), "codim": result.codim}
+    inputs = {"first": first, "second": second, "xring": xring}
+    _report("schubert mul", inputs, "info", payload, as_json)
 
 
-def _section_label(parts) -> SectionClass:
-    """The section class with label parts, in the codimension its degree gives."""
-    w = sum(parts)
-    if w == 5:
-        raise ValueError("labels of degree 5 do not occur in the section ring")
-    return SectionClass.label(w if w <= 4 else w - 1, parts)
+def _mul_h(parts) -> dict:
+    """Product of the section class labelled parts with the hyperplane class.
+
+    The codimension is read off the label degree before the class is built, so
+    a degree-5 label is reported as such even when it also escapes the box.
+    """
+    result = hyperplane_mul(section_class(section_codim(sum(parts)), {parts: 1}))
+    return {"result": str(result), "codim": section_codim(result.codim)}
 
 
 @main.group("xring")
@@ -303,9 +306,7 @@ def xring_group():
 @_subcommand
 def xring_mul_h(label, as_json):
     """Multiply a section class by the hyperplane class."""
-    result = hyperplane_mul(_section_label(parse_partition(label)))
-    _report("xring mul-h", {"label": label}, "info",
-            {"result": str(result), "codim": result.codim}, as_json)
+    _report("xring mul-h", {"label": label}, "info", _mul_h(parse_partition(label)), as_json)
 
 
 @main.command("gram")

@@ -8,9 +8,10 @@ i >= 5, and in the middle degree only the rank-3 pulled-back part is modelled
 deliberately excluded; the certificates below only ever need the rank-3 part).
 
 Labels therefore carry |parts| = codim for codim <= 4 and |parts| = codim + 1
-for codim >= 5; degree 5 labels do not exist.  Multiplying by the hyperplane
-class costs one Pieri step except out of the middle degree, where push-forward
-and pull-back force two.
+for codim >= 5; degree 5 labels do not exist.  So a class in CH^codim(X) is
+the GrChowClass of its labels, and section_codim reads codim back off the
+label degree.  Multiplying by the hyperplane class costs one Pieri step except
+out of the middle degree, where push-forward and pull-back force two.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .schubert import (
     GrChowClass,
     box_partitions,
     duality_pairing,
-    normalize_partition,
     pieri,
     schur_product,
 )
@@ -59,106 +59,49 @@ def label_weight(codim: int) -> int:
     return codim if codim <= MIDDLE else codim + 1
 
 
-class SectionClass:
-    """Integer combination of Schubert labels in one Chow group of X."""
+def section_codim(degree: int) -> int:
+    """Codimension in X of the classes with labels of this degree.
 
-    __slots__ = ("codim", "terms", "_gr")
-
-    def __init__(self, codim: int, terms):
-        # GrChowClass cleans the labels and checks them against the 3x3 box
-        # and the label degree of CH^codim(X).
-        gr = GrChowClass(K, N, label_weight(codim), terms)
-        object.__setattr__(self, "codim", codim)
-        object.__setattr__(self, "terms", gr.terms)
-        object.__setattr__(self, "_gr", gr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SectionClass is immutable")
-
-    @classmethod
-    def label(cls, codim: int, parts) -> "SectionClass":
-        return cls(codim, {normalize_partition(parts): 1})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "SectionClass") -> "SectionClass":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.codim != other.codim:
-            raise ValueError("sum of classes of different codimension")
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, 0) + c
-        return SectionClass(self.codim, out)
-
-    def __neg__(self) -> "SectionClass":
-        return SectionClass(self.codim, {p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other: "SectionClass") -> "SectionClass":
-        return self + (-other)
-
-    def reduce_mod(self, m: int) -> "SectionClass":
-        """Coefficients reduced to symmetric representatives mod m."""
-        out = {}
-        for p, c in self.terms.items():
-            r = c % m
-            if r > m // 2:
-                r -= m
-            out[p] = r
-        return SectionClass(self.codim, out)
-
-    def to_gr(self) -> GrChowClass:
-        """The label combination as a Grassmannian class of degree |labels|."""
-        return self._gr
-
-    def coefficient(self, parts) -> int:
-        return self.terms.get(normalize_partition(parts), 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, SectionClass):
-            return NotImplemented
-        return self.terms == other.terms and (self.is_zero or self.codim == other.codim)
-
-    def __hash__(self):
-        # A nonzero class's terms fix its codim, and zero classes of every
-        # codim are equal.
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self):
-        return str(self.to_gr())
-
-    def __repr__(self):
-        return f"SectionClass(codim={self.codim}, {self})"
+    The inverse of label_weight: a section class is the GrChowClass of its
+    labels, and its ``codim`` attribute is the label degree.
+    """
+    if degree == MIDDLE + 1:
+        raise ValueError("labels of degree 5 do not occur in the section ring")
+    return degree if degree <= MIDDLE else degree - 1
 
 
-def fundamental_class() -> SectionClass:
-    return SectionClass.label(0, ())
+def section_class(codim: int, terms) -> GrChowClass:
+    """The class in CH^codim(X) with the given {label: coefficient} terms.
+
+    GrChowClass cleans the labels and checks them against the 3x3 box and the
+    label degree of CH^codim(X).
+    """
+    return GrChowClass(K, N, label_weight(codim), terms)
 
 
-def point_class() -> SectionClass:
-    return SectionClass.label(8, (3, 3, 3))
+def fundamental_class() -> GrChowClass:
+    return section_class(0, {(): 1})
 
 
-def hyperplane_mul(x: SectionClass) -> SectionClass:
+def point_class() -> GrChowClass:
+    return section_class(8, {(3, 3, 3): 1})
+
+
+def hyperplane_mul(x: GrChowClass) -> GrChowClass:
     """Product with the hyperplane class of X.
 
     One Pieri step on labels in every degree except the middle one, where the
     push-forward/pull-back detour costs two Pieri steps (labels jump from
     degree 4 to degree 6).
     """
-    if x.codim >= DIM_X:
+    codim = section_codim(x.codim)
+    if codim >= DIM_X:
         raise TopCodimError("no room above the top degree")
-    product = pieri(x.to_gr())
-    if x.codim == MIDDLE:
-        product = pieri(product)
-    return SectionClass(x.codim + 1, product.terms)
+    product = pieri(x)
+    return pieri(product) if codim == MIDDLE else product
 
 
-def intersection_pairing(x: SectionClass, y: SectionClass) -> int:
+def intersection_pairing(x: GrChowClass, y: GrChowClass) -> int:
     """Intersection number of classes with codim(x) + codim(y) = 8.
 
     Away from the middle degree the label degrees already complement to 9 and
@@ -166,21 +109,21 @@ def intersection_pairing(x: SectionClass, y: SectionClass) -> int:
     the ambient triple product with one extra hyperplane factor (projection
     formula); this rule reproduces the reference Gram matrix exactly.
     """
-    if x.codim + y.codim != DIM_X:
+    codim = section_codim(x.codim)
+    if codim + section_codim(y.codim) != DIM_X:
         raise CodimMismatchError("codimensions must sum to 8")
     if x.is_zero or y.is_zero:
         return 0
-    if x.codim == MIDDLE and y.codim == MIDDLE:
-        prod = schur_product(x.to_gr(), y.to_gr())
-        return pieri(prod).coefficient((COLS,) * K)
-    return duality_pairing(x.to_gr(), y.to_gr())
+    if codim == MIDDLE:
+        return pieri(schur_product(x, y)).coefficient((COLS,) * K)
+    return duality_pairing(x, y)
 
 
 def gram_matrix(classes) -> IntMatrix:
     """Matrix of pairwise intersection numbers of middle-degree classes."""
     classes = list(classes)
     for c in classes:
-        if 2 * c.codim != DIM_X:
+        if section_codim(c.codim) != MIDDLE:
             raise ValueError("Gram matrix is defined for middle-degree classes")
     size = len(classes)
     entries = [intersection_pairing(a, b) for a in classes for b in classes]
@@ -215,13 +158,13 @@ def rational_cycle(i: int) -> tuple:
     """The i-th certified rational cycle on P^2 x X, i in 1..5, as (c0, c1, c2).
 
     The cycle is c0 + H*c1 + H^2*c2 with H the hyperplane of P^2 (H^3 = 0).
-    Its total codimension is homogeneous, so c_d is a SectionClass of codim
+    Its total codimension is homogeneous, so c_d is a section class of codim
     total - d.
     """
     if i not in _CYCLE_TABLE:
         raise IndexOutOfRangeError("rational cycles are numbered 1..5")
     total, table = _CYCLE_TABLE[i]
-    return tuple(SectionClass(total - d, table[d]) for d in range(3))
+    return tuple(section_class(total - d, table[d]) for d in range(3))
 
 
 def format_cycle(cycle) -> str:
@@ -233,16 +176,18 @@ def format_cycle(cycle) -> str:
 def verify_cycle_recursion(i: int):
     """Check that hyperplane * cycle(i) is cycle(i+1) modulo 3.
 
-    Returns (holds, residual) where the residual is the triple of mod-3
-    reductions of the differences, component by component; the recursion is a
-    verification of the stored table, not a construction.  The hyperplane
-    class of X and H come from different factors, so they commute and the
-    product acts on each component c_d alone.
+    Returns (holds, residual) where the residual is the triple of differences,
+    component by component, with coefficients reduced mod 3 to -1, 0 or 1; the
+    recursion is a verification of the stored table, not a construction.  The
+    hyperplane class of X and H come from different factors, so they commute
+    and the product acts on each component c_d alone.
     """
     if not 1 <= i <= 4:
         raise IndexOutOfRangeError("recursion steps are numbered 1..4")
-    residual = tuple((hyperplane_mul(c) - c_next).reduce_mod(3)
-                     for c, c_next in zip(rational_cycle(i), rational_cycle(i + 1)))
+    diffs = (hyperplane_mul(c) - c_next
+             for c, c_next in zip(rational_cycle(i), rational_cycle(i + 1)))
+    residual = tuple(GrChowClass(K, N, d.codim, {p: (v + 1) % 3 - 1 for p, v in d.terms.items()})
+                     for d in diffs)
     return all(r.is_zero for r in residual), residual
 
 
@@ -260,7 +205,7 @@ def reference_bases() -> dict:
         classes = []
         for i in range(1, 6):
             for comp in rational_cycle(i):
-                if comp.codim == c and not comp.is_zero:
+                if section_codim(comp.codim) == c and not comp.is_zero:
                     classes.append(comp)
         out[c] = classes
     return out
@@ -268,7 +213,7 @@ def reference_bases() -> dict:
 
 def middle_classes():
     """The three pulled-back middle-degree label classes."""
-    return tuple(SectionClass.label(4, p) for p in ((3, 1), (2, 2), (2, 1, 1)))
+    return tuple(section_class(4, {p: 1}) for p in ((3, 1), (2, 2), (2, 1, 1)))
 
 
 def basis_certificate(classes, codim: int) -> bool:
@@ -284,7 +229,7 @@ def basis_certificate(classes, codim: int) -> bool:
             f"need {len(labels)} classes at codim {codim}, got {len(classes)}")
     rows = []
     for cls in classes:
-        if cls.codim != codim:
+        if section_codim(cls.codim) != codim:
             raise ValueError("class of the wrong codimension")
         rows.append([cls.coefficient(p) for p in labels])
     return abs(det_exact(IntMatrix.from_rows(rows))) == 1
@@ -299,7 +244,7 @@ def standard_collection():
     coll = [(0, fundamental_class())]
     for i in range(1, 6):
         for comp in rational_cycle(i):
-            coll.append((comp.codim, comp))
+            coll.append((section_codim(comp.codim), comp))
     coll.append((8, point_class()))
     return coll
 

@@ -11,7 +11,6 @@ from chowkit.hyperplane import (
     IndexOutOfRangeError,
     NotSelfDualError,
     RankMismatchError,
-    SectionClass,
     TopCodimError,
     basis_certificate,
     c3_twist_residual,
@@ -25,6 +24,7 @@ from chowkit.hyperplane import (
     point_class,
     rational_cycle,
     reference_bases,
+    section_class,
     standard_collection,
     tate_iso_check,
     verify_c3_twist_identity,
@@ -35,13 +35,13 @@ from test_schubert import complement_partition
 
 
 def xcls(codim, parts):
-    return SectionClass.label(codim, parts)
+    return section_class(codim, {parts: 1})
 
 
-def restrict_from_gr(c: GrChowClass) -> SectionClass:
+def restrict_from_gr(c: GrChowClass) -> GrChowClass:
     """Pull a Grassmannian class of codimension <= 4 back to X, same labels."""
     assert (c.k, c.n) == (3, 6) and c.codim <= 4
-    return SectionClass(c.codim, dict(c.terms))
+    return section_class(c.codim, dict(c.terms))
 
 
 # -- independent oracle ---------------------------------------------------------
@@ -68,34 +68,34 @@ def test_restrict_examples():
 
 def test_equal_classes_hash_equal():
     # Zero classes of every codim are equal, so they must hash alike.
-    a, b = SectionClass(2, {}), SectionClass(6, {})
+    a, b = section_class(2, {}), section_class(6, {})
     assert a == b
     assert len({a, b}) == 1
-    assert len({xcls(3, (2, 1)) - xcls(3, (2, 1)), SectionClass(0, {})}) == 1
+    assert len({xcls(3, (2, 1)) - xcls(3, (2, 1)), section_class(0, {})}) == 1
 
 
 def test_label_degree_rule():
     assert [label_weight(c) for c in range(9)] == [0, 1, 2, 3, 4, 6, 7, 8, 9]
     with pytest.raises(ValueError):
-        SectionClass.label(5, (3, 2))     # degree-5 labels do not exist
+        section_class(5, {(3, 2): 1})     # degree-5 labels do not exist
 
 
 # -- hyperplane multiplication -------------------------------------------------------
 
 
 def test_hyperplane_mul_middle_degree():
-    assert hyperplane_mul(xcls(4, (2, 2))) == SectionClass(
+    assert hyperplane_mul(xcls(4, (2, 2))) == section_class(
         5, {(3, 3): 1, (3, 2, 1): 2, (2, 2, 2): 1})
 
 
 def test_hyperplane_mul_out_of_middle_is_double_pieri():
     # (2,1,1) is a middle-degree label; leaving CH^4 costs two Pieri steps.
-    assert hyperplane_mul(xcls(4, (2, 1, 1))) == SectionClass(
+    assert hyperplane_mul(xcls(4, (2, 1, 1))) == section_class(
         5, {(3, 2, 1): 2, (2, 2, 2): 1})
 
 
 def test_hyperplane_mul_single_step_below_middle():
-    assert hyperplane_mul(xcls(3, (2, 1))) == SectionClass(
+    assert hyperplane_mul(xcls(3, (2, 1))) == section_class(
         4, {(3, 1): 1, (2, 2): 1, (2, 1, 1): 1})
 
 
@@ -168,7 +168,7 @@ def test_gram_matrix_symmetric_random():
         classes = []
         for _ in range(3):
             terms = {lab: rng.randint(-2, 2) for lab in labels}
-            classes.append(SectionClass(4, terms))
+            classes.append(section_class(4, terms))
         m = gram_matrix(classes)
         assert m.to_lists() == [list(col) for col in zip(*m.to_lists())]
 
@@ -182,11 +182,11 @@ def test_cycle_table_spot_checks():
     assert a1[1] == xcls(2, (2,))
     assert a1[2] == xcls(1, (1,))
     a4 = rational_cycle(4)
-    assert a4[0] == SectionClass(6, {(3, 2, 2): -1})
-    assert a4[1] == SectionClass(5, {(3, 2, 1): -1, (2, 2, 2): -1})
-    assert a4[2] == SectionClass(4, {(2, 2): -1})
+    assert a4[0] == section_class(6, {(3, 2, 2): -1})
+    assert a4[1] == section_class(5, {(3, 2, 1): -1, (2, 2, 2): -1})
+    assert a4[2] == section_class(4, {(2, 2): -1})
     a5 = rational_cycle(5)
-    assert a5[2] == SectionClass(5, {(3, 3): -1, (3, 2, 1): 1, (2, 2, 2): -1})
+    assert a5[2] == section_class(5, {(3, 3): -1, (3, 2, 1): 1, (2, 2, 2): -1})
 
 
 def test_cycle_index_range():
@@ -251,19 +251,19 @@ def test_reference_bases_match_stated_lists():
     bases = reference_bases()
     assert bases[3] == [
         xcls(3, (3,)),
-        SectionClass(3, {(3,): 1, (2, 1): 1}),
-        SectionClass(3, {(3,): 1, (2, 1): -1, (1, 1, 1): 1}),
+        section_class(3, {(3,): 1, (2, 1): 1}),
+        section_class(3, {(3,): 1, (2, 1): -1, (1, 1, 1): 1}),
     ]
     assert bases[5] == [
-        SectionClass(5, {(3, 3): 1, (3, 2, 1): -1}),
-        SectionClass(5, {(3, 2, 1): -1, (2, 2, 2): -1}),
-        SectionClass(5, {(3, 3): -1, (3, 2, 1): 1, (2, 2, 2): -1}),
+        section_class(5, {(3, 3): 1, (3, 2, 1): -1}),
+        section_class(5, {(3, 2, 1): -1, (2, 2, 2): -1}),
+        section_class(5, {(3, 3): -1, (3, 2, 1): 1, (2, 2, 2): -1}),
     ]
-    assert bases[7] == [SectionClass(7, {(3, 3, 2): -1})]
+    assert bases[7] == [section_class(7, {(3, 3, 2): -1})]
 
 
 def test_scaled_generator_is_not_a_basis():
-    assert not basis_certificate([SectionClass(1, {(1,): 3})], 1)
+    assert not basis_certificate([section_class(1, {(1,): 3})], 1)
 
 
 def test_basis_certificate_rank_mismatch():
