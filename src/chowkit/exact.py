@@ -719,8 +719,41 @@ def prime_factors(n: int) -> tuple:
     return tuple(primes)
 
 
+# The first 13 primes.  A strong probable prime to all of them is prime below
+# 3,317,044,064,679,887,385,961,981, the least strong pseudoprime to these bases
+# (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and prime_factors(n) == (n,)
+    """Deterministic Miller-Rabin test to the first 13 prime bases.
+
+    Raises ValueError for an n without a small factor at or above
+    _PRIMALITY_BOUND, where these bases no longer prove primality.
+    """
+    if n < 2:
+        return False
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _PRIMALITY_BOUND:
+        raise ValueError(f"primality is decided only below {_PRIMALITY_BOUND}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def invertible_over_localization(m: IntMatrix, inverted_primes) -> bool:

@@ -15,7 +15,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, takewhile
 from math import comb, prod
 
 from .exact import Poly, is_prime
@@ -62,7 +62,8 @@ def enumerate_multi_indices(n: int, weight: int | None = None):
             extend(prefix, first + 1, left - 1, rest - first)
             prefix.pop()
 
-    for r in range(n + 1):
+    # r distinct parts sum to at least r(r+1)/2, so longer subsets are never tried.
+    for r in takewhile(lambda r: r * (r + 1) // 2 <= weight, range(n + 1)):
         extend([], 1, r, weight)
     return out
 

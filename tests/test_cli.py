@@ -55,6 +55,29 @@ def test_ss_large_prime():
     assert result.exit_code == 0
     assert doc["payload"]["table"] == run_json("ss", "--n", "3", "--weight", "3")[1]["payload"]["table"]
 
+
+def test_large_prime_degree():
+    # 2^61 - 1 is prime: Miller-Rabin decides it at once, and ss tries no
+    # multi-index longer than its weight allows.
+    prime = str(2 ** 61 - 1)
+    result, doc = run_json("ss", "--n", prime, "--weight", "3")
+    assert result.exit_code == 0
+    assert doc["payload"]["table"] == run_json("ss", "--n", "3", "--weight", "3")[1]["payload"]["table"]
+    result, doc = run_json("tateiso", "--invert", prime)
+    assert result.exit_code == 1
+    assert doc["payload"]["invertible"] is False
+
+
+def test_primality_above_the_proven_bound_is_a_usage_error():
+    # 2^89 - 1 is prime, but above the bound the 13 bases prove nothing.
+    for args in (("ss", "--n", str(2 ** 89 - 1), "--weight", "1"),
+                 ("tateiso", "--invert", str(2 ** 89 - 1))):
+        result = run(*args)
+        assert result.exit_code == 2
+        assert "Error: primality is decided only below 3317044064679887385961981" \
+            in result.output.splitlines()
+
+
 def test_schubert_mul_xring():
     result, doc = run_json("schubert", "mul", "(2,2)", "(1)", "--xring")
     assert result.exit_code == 0
@@ -263,14 +286,15 @@ def int_text(low, high):
 # Generated arguments for every other subcommand, bounded where the input
 # sets the size of the work: d2 degrees up to 7 (the Chern-product oracle
 # grows without bound above that), witt forms of dimension at most 3, and
-# integers of at most 10^6 (primality is decided by trial division).
+# integers of at most 10^6 except the primes to invert and the ss degree,
+# which reach 10^24 (primality is decided by Miller-Rabin).
 subcommand_args = st.one_of(
-    st.lists(int_text(-50, 10 ** 6), max_size=3).map(
+    st.lists(int_text(-50, 10 ** 24), max_size=3).map(
         lambda ps: ["tateiso"] + [arg for p in ps for arg in ("--invert", p)]),
     st.tuples(int_text(-3, 45)).map(lambda a: ["glmotive", "--n", *a]),
     st.tuples(int_text(-3, 7), int_text(-3, 30)).map(
         lambda a: ["d2", "--n", a[0], "--q", a[1]]),
-    st.tuples(int_text(-3, 200), int_text(-3, 6)).map(
+    st.tuples(int_text(-3, 10 ** 24), int_text(-3, 6)).map(
         lambda a: ["ss", "--n", a[0], "--weight", a[1]]),
     st.tuples(int_text(-10 ** 6, 10 ** 6), int_text(-10 ** 6, 10 ** 6)).map(
         lambda a: ["plucker", "--a", a[0], "--b", a[1]]),

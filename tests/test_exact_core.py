@@ -1,6 +1,7 @@
 """Exact kernel: polynomials, Bareiss determinants, Smith forms."""
 
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -577,6 +578,33 @@ def test_is_prime_matches_divisor_count():
     for n in range(-3, 300):
         divisors = [d for d in range(1, n + 1) if n % d == 0]
         assert is_prime(n) == (divisors == [1, n] and n > 1)
+
+
+def test_is_prime_agrees_with_trial_division():
+    small = [p for p in range(2, 448) if all(p % d for d in range(2, p))]
+    for n in range(200_000):
+        by_division = n >= 2 and all(n % p for p in takewhile(lambda p: p * p <= n, small))
+        assert is_prime(n) == by_division, n
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # Strong pseudoprimes to the bases 2, 3, 5, 7 and to the first 11 primes.
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2 ** 61 - 1)
+    assert not is_prime(2 ** 61 + 1)
+
+
+def test_is_prime_refuses_above_the_proven_bound():
+    # The least strong pseudoprime to the bases 2..41, 1287836182261 * 2575672364521.
+    bound = 3_317_044_064_679_887_385_961_981
+    assert is_prime(bound - 168)    # the largest prime below it
+    for n in (bound, 2 ** 89 - 1):
+        with pytest.raises(ValueError):
+            is_prime(n)
+    # A small factor still decides at any size.
+    assert not is_prime(2 ** 200)
+    assert not is_prime(41 * (2 ** 89 - 1))
 
 
 def test_localization_gram():

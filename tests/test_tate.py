@@ -31,6 +31,8 @@ def test_enumeration_order_by_length_then_lex():
     assert enumerate_multi_indices(3, weight=3) == [(3,), (1, 2)]
     assert enumerate_multi_indices(2) == [(), (1,), (2,), (1, 2)]
     assert enumerate_multi_indices(3, weight=7) == []
+    # Subsets longer than the weight allows are never tried, so a huge n is cheap.
+    assert enumerate_multi_indices(2 ** 61 - 1, weight=3) == [(3,), (1, 2)]
 
 
 def test_enumeration_total_is_power_of_two():
