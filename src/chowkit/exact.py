@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, permutations
 from operator import add, mul, sub
@@ -345,6 +345,14 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     return Poly._coerce(p) * Poly._coerce(q)
 
 
+@lru_cache(maxsize=None)
+def signed_permutations(k: int) -> tuple:
+    """(sign, w) for every permutation w of range(k), sign = (-1)^inversions."""
+    return tuple(
+        (-1 if sum(w[i] > w[j] for i in range(k) for j in range(i + 1, k)) % 2 else 1, w)
+        for w in permutations(range(k)))
+
+
 def det_expansion(rows):
     """Determinant by signed permutation expansion.
 
@@ -358,14 +366,11 @@ def det_expansion(rows):
     if n == 0:
         return 1
     total = 0
-    for perm in permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
+    for sign, perm in signed_permutations(n):
         prod = rows[0][perm[0]]
         for i in range(1, n):
             prod = prod * rows[i][perm[i]]
-        total = total + (prod if inversions % 2 == 0 else -prod)
+        total = total + (prod if sign > 0 else -prod)
     return total
 
 

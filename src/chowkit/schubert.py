@@ -12,10 +12,9 @@ doubles as a built-in cross-check.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 from operator import gt, sub
 
-from .exact import Poly
+from .exact import Poly, signed_permutations
 
 
 class CodimMismatchError(ValueError):
@@ -208,21 +207,13 @@ def pieri(c: GrChowClass) -> GrChowClass:
     return GrChowClass(c.k, c.n, c.codim + 1, out)
 
 
-@lru_cache(maxsize=None)
-def _signed_permutations(k: int) -> tuple:
-    """(sign, w) for every permutation w of range(k), sign = (-1)^inversions."""
-    return tuple(
-        (-1 if sum(w[i] > w[j] for i in range(k) for j in range(i + 1, k)) % 2 else 1, w)
-        for w in permutations(range(k)))
-
-
 def _alternant(exponents: tuple) -> Poly:
     """det(x_i^(e_j)) over the variables x1..x_len(exponents); 1 with none.
 
     Written out directly as the k! signed monomials x_1^(e_w(1))...x_k^(e_w(k)).
     """
     terms = {}
-    for sign, w in _signed_permutations(len(exponents)):
+    for sign, w in signed_permutations(len(exponents)):
         key = tuple(exponents[i] for i in w)
         terms[key] = terms.get(key, 0) + sign
     return Poly([f"x{i + 1}" for i in range(len(exponents))], terms)
@@ -272,7 +263,7 @@ def schur_product(x: GrChowClass, y: GrChowClass) -> GrChowClass:
     x._same_space(y)
     k, cols = x.k, x.n - x.k
     targets = [(nu, _shifted(nu, k)) for nu in box_partitions(k, cols, x.codim + y.codim)]
-    signed = _signed_permutations(k)
+    signed = signed_permutations(k)
     out = {}
     for p1, c1 in x.terms.items():
         for p2, c2 in y.terms.items():
