@@ -734,8 +734,8 @@ _PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin test to the first 13 prime bases.
 
-    Raises ValueError for an n without a small factor at or above
-    _PRIMALITY_BOUND, where these bases no longer prove primality.
+    Raises ValueError for an n without a factor among the bases at or above
+    3,317,044,064,679,887,385,961,981, where they no longer prove primality.
     """
     if n < 2:
         return False
