@@ -282,8 +282,8 @@ def schubert_mul(first, second, xring, as_json):
     else:
         result = schur_product(GrChowClass.schubert(3, 6, lam), GrChowClass.schubert(3, 6, mu))
         payload = {"result": str(result), "codim": result.codim}
-    inputs = {"first": first, "second": second, "xring": xring}
-    _report("schubert mul", inputs, "info", payload, as_json)
+    _report("schubert mul", {"first": first, "second": second, "xring": xring}, "info",
+            payload, as_json)
 
 
 def _mul_h(parts) -> dict:
