@@ -31,6 +31,10 @@ class SliceRangeError(ValueError):
 
 LAMBDA = "lam"
 
+# The GL_n pattern has about n^3/6 entries: at n = 64 `chowkit glmotive --json`
+# prints 1.2 MB in under a second, and the work grows as n^4 above that.
+GL_PATTERN_MAX_DEGREE = 64
+
 
 # -- multi-indices ------------------------------------------------------------
 
@@ -94,6 +98,8 @@ def gl_tate_pattern(n: int) -> Counter:
     I in {1..n}, counted off prod_{i=1..n} (1 + y t^i)."""
     if n < 1:
         raise ValueError("degree must be at least 1")
+    if n > GL_PATTERN_MAX_DEGREE:
+        raise ValueError(f"degree must be at most {GL_PATTERN_MAX_DEGREE}")
     return _pattern_product(1, n)
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from chowkit.cli import main
 from chowkit.schubert import box_partitions, format_partition
+from chowkit.tate import GL_PATTERN_MAX_DEGREE
 
 
 def run(*args):
@@ -223,13 +224,14 @@ def int_text(low, high):
 
 # Generated arguments for every other subcommand, bounded where the input
 # sets the size of the work: d2 degrees up to 7 (the Chern-product oracle
-# grows without bound above that), witt forms of dimension at most 3, and
-# integers of at most 10^6 except the primes to invert and the ss degree,
-# which reach 10^24 (primality is decided by Miller-Rabin).
+# grows without bound above that), glmotive degrees to 20 past its bound (a
+# usage error above it), witt forms of dimension at most 3, and integers of at
+# most 10^6 except the primes to invert and the ss degree, which reach 10^24
+# (primality is decided by Miller-Rabin).
 subcommand_args = st.one_of(
     st.lists(int_text(-50, 10 ** 24), max_size=3).map(
         lambda ps: ["tateiso"] + [arg for p in ps for arg in ("--invert", p)]),
-    st.tuples(int_text(-3, 45)).map(lambda a: ["glmotive", "--n", *a]),
+    st.tuples(int_text(-3, GL_PATTERN_MAX_DEGREE + 20)).map(lambda a: ["glmotive", "--n", *a]),
     st.tuples(int_text(-3, 7), int_text(-3, 30)).map(
         lambda a: ["d2", "--n", a[0], "--q", a[1]]),
     st.tuples(int_text(-3, 10 ** 24), int_text(-3, 6)).map(
