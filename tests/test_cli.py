@@ -1,5 +1,6 @@
 """Command-line driver: reports, exit codes, determinism."""
 
+import hashlib
 import json
 import time
 
@@ -94,6 +95,12 @@ def test_xring_mul_h():
     assert doc["payload"]["result"] == "(2,2,2) + 2(3,2,1) + (3,3)"
 
 
+def test_verify_all_passes():
+    result = run("verify", "all")
+    assert result.exit_code == 0
+    assert "result: pass (12/12 passed)" in result.output
+
+
 def test_verify_all_deterministic():
     first = run("verify", "all", "--json")
     second = run("verify", "all", "--json")
@@ -121,6 +128,21 @@ def test_every_json_subcommand_emits_one_document():
         result, doc = run_json(*args)
         assert result.exit_code == 0, (args, result.output)
         assert set(doc) == {"command", "inputs", "status", "payload"}
+
+
+def test_tateiso_fails_over_z():
+    result = run("tateiso")
+    assert result.exit_code == 1
+    assert "[fail]" in result.output
+
+
+def test_usage_errors_exit_two():
+    assert run("d2", "--n", "4", "--q", "1").exit_code == 2
+    assert run("ss", "--n", "3", "--weight", "9").exit_code == 2
+    assert run("witt", "--form", "nonsense").exit_code == 2
+    assert run("schubert", "mul", "(2,1)", "(2,1)", "--xring").exit_code == 2
+    assert run("xring", "mul-h", "(3,2)").exit_code == 2
+    assert run("nonexistent").exit_code == 2
 
 
 def test_charts_reports_verbatim_equation():
@@ -172,6 +194,14 @@ def test_alphas_report():
     assert len(doc["payload"]["cycles"]) == 5
 
 
+def test_more_usage_errors_exit_two():
+    assert run("xring", "mul-h", "(3,3,3)").exit_code == 2
+    assert run("schubert", "mul", "(4)", "(1)").exit_code == 2
+    assert run("glmotive", "--n", "0").exit_code == 2
+    assert run("witt", "--form", "1,0,-1").exit_code == 2
+    assert run("plucker", "--a", "0", "--b", "3").exit_code == 2
+
+
 @pytest.mark.parametrize("args, message", [
     # The degree-5 check comes before the box check: (5) escapes the box too.
     (("xring", "mul-h", "(5)"), "labels of degree 5 do not occur in the section ring"),
@@ -194,6 +224,18 @@ def test_tateiso_nonprime_invert_is_a_usage_error(bad):
     assert f"{bad} is not prime" in result.output
 
 
+@pytest.mark.parametrize("inverted, status, digest", [
+    ((), 1, "96766796d5069649e0539c1ee801c319f3d5dff5261d6befc82cc7882abb7c78"),
+    (("2",), 0, "2b4679b721e481df1569959a7eb2480109ab29230fd5ff64c80e54c31d796125"),
+    (("3",), 1, "645eb0b6b39f192402da4df242c29e4ba00c7010470ccf6c05cfc8a1e90f12da"),
+])
+def test_tateiso_json_bytes_are_pinned(inverted, status, digest):
+    args = [arg for p in inverted for arg in ("--invert", p)]
+    result = run("tateiso", *args, "--json")
+    assert result.exit_code == status
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
 # Partition arguments as a user might type them: valid, outside the 3x3 box,
 # empty, with negative or increasing parts, and malformed text.
 partition_texts = st.one_of(
@@ -214,6 +256,12 @@ def test_generated_partitions_exit_cleanly(first, second, xring):
         assert result.exit_code in (0, 2), (args, result.output, result.exception)
         assert result.exception is None or isinstance(result.exception, SystemExit), args
         assert "Traceback" not in result.output
+
+
+def test_glmotive_degree_forty():
+    result, doc = run_json("glmotive", "--n", "40")
+    assert result.exit_code == 0
+    assert doc["payload"]["total"] == 2 ** 40
 
 
 def int_text(low, high):
