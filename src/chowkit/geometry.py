@@ -197,34 +197,44 @@ def classify_all_charts(degree: int = 3):
 # -- exact rational linear algebra helpers ---------------------------------------
 
 
-def _mat_vec(m, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
-
-
 def _bilinear(gram, u, v):
     return sum(u[i] * sum(gram[i][j] * v[j] for j in range(len(v)))
                for i in range(len(u)))
 
 
-def _nullspace(rows, ncols):
-    """Basis of the right kernel of a rational matrix."""
-    reduced, pivots = row_echelon(rows)
-    basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = -row[fc]
-        basis.append(vec)
-    return basis
+def _diagonal(entries):
+    """Gram matrix of the diagonal form <entries>."""
+    return [[Fraction(e) if i == j else Fraction(0) for j in range(len(entries))]
+            for i, e in enumerate(entries)]
+
+
+def _combine(basis, coords):
+    """The vector sum(coords[k] * basis[k]) of column vectors basis."""
+    return [sum(x * c for x, c in zip(row, coords)) for row in zip(*basis)]
 
 
 def _congruence_transform(gram, cols):
     """B^T G B for column vectors cols."""
-    size = len(cols)
-    return [[_bilinear(gram, cols[i], cols[j]) for j in range(size)]
-            for i in range(size)]
+    return [[_bilinear(gram, u, v) for v in cols] for u in cols]
+
+
+def _certify(gram, columns, target):
+    """Raise unless columns^T gram columns == target, checked exactly."""
+    if _congruence_transform(gram, columns) != target:
+        raise AssertionError("congruence certificate failed to verify")
+
+
+def _complement(gram, vectors):
+    """(basis, restricted Gram matrix) of the orthogonal complement of vectors."""
+    reduced, pivots = row_echelon([_combine(gram, v) for v in vectors])  # G v, G symmetric
+    basis = []
+    for fc in (c for c in range(len(gram)) if c not in pivots):
+        vec = [Fraction(0)] * len(gram)
+        vec[fc] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis, _congruence_transform(gram, basis)
 
 
 def _diagonalize_symmetric(gram):
@@ -273,9 +283,27 @@ def _diagonalize_symmetric(gram):
 SEARCH_BOUND = 30  # coordinate height of the isotropic and representation searches
 
 
-def _clear_denominators(diag):
+def _zeros(diag):
+    """Integer zeros (prefix, root) of a diagonal form, in search order.
+
+    Prefixes run through heights 1..SEARCH_BOUND in product order, and the
+    last coordinate is the root of an exact square test, at most SEARCH_BOUND.
+    A definite form has no zero and yields nothing.
+    """
+    if all(d > 0 for d in diag) or all(d < 0 for d in diag):
+        return
     scale = lcm(*(d.denominator for d in diag))
-    return [int(d * scale) for d in diag]
+    *head, last = [int(d * scale) for d in diag]
+    for height in range(1, SEARCH_BOUND + 1):
+        for prefix in product(range(-height, height + 1), repeat=len(head)):
+            if max(map(abs, prefix), default=0) != height:
+                continue
+            target, remainder = divmod(-sum(d * c * c for d, c in zip(head, prefix)), last)
+            if target < 0 or remainder:
+                continue
+            root = isqrt(target)
+            if root * root == target and root <= SEARCH_BOUND:
+                yield prefix, root
 
 
 def find_isotropic(diag):
@@ -288,26 +316,8 @@ def find_isotropic(diag):
     diag = [Fraction(d) for d in diag]
     if any(d == 0 for d in diag):
         raise ValueError("diagonal entries must be nonzero")
-    n = len(diag)
-    if n < 2:
-        return None
-    if all(d > 0 for d in diag) or all(d < 0 for d in diag):
-        return None
-    d = _clear_denominators(diag)
-    head, last = d[:-1], d[-1]
-    for height in range(1, SEARCH_BOUND + 1):
-        for prefix in product(range(-height, height + 1), repeat=n - 1):
-            if max((abs(c) for c in prefix), default=0) != height and any(prefix):
-                continue
-            target = Fraction(-sum(di * ci * ci for di, ci in zip(head, prefix)), last)
-            if target < 0 or target.denominator != 1:
-                continue
-            root = isqrt(target.numerator)
-            if root * root != target.numerator or root > SEARCH_BOUND:
-                continue
-            if not any(prefix) and root == 0:
-                continue
-            return [Fraction(c) for c in prefix] + [Fraction(root)]
+    for prefix, root in _zeros(diag):
+        return [Fraction(c) for c in prefix] + [Fraction(root)]
     return None
 
 
@@ -326,13 +336,9 @@ class WittDecomposition:
     search_exhausted: bool
 
     def target_gram(self):
-        size = 2 * self.planes + len(self.residual)
-        g = [[Fraction(0)] * size for _ in range(size)]
-        for i in range(self.planes):
-            g[2 * i][2 * i + 1] = Fraction(1)
-            g[2 * i + 1][2 * i] = Fraction(1)
-        for i, d in enumerate(self.residual):
-            g[2 * self.planes + i][2 * self.planes + i] = Fraction(d)
+        g = _diagonal([0] * (2 * self.planes) + list(self.residual))
+        for i in range(0, 2 * self.planes, 2):
+            g[i][i + 1] = g[i + 1][i] = Fraction(1)
         return g
 
 
@@ -348,55 +354,34 @@ def witt_split(form) -> WittDecomposition:
     form = tuple(Fraction(c) for c in form)
     if any(c == 0 for c in form):
         raise ValueError("diagonal form must be nondegenerate")
-    n = len(form)
-    gram = [[form[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    # Column vectors spanning the not-yet-split subspace, in original coords.
-    current_basis = [[Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)]
-    current_diag = list(form)
+    # Column vectors, in original coordinates, spanning the not-yet-split
+    # subspace, on which the form is diag.
+    basis = [[Fraction(1 if i == j else 0) for i in range(len(form))]
+             for j in range(len(form))]
+    diag = list(form)
     pairs = []
-    exhausted = False
-    while len(current_diag) >= 2:
-        v_local = find_isotropic(current_diag)
-        if v_local is None:
-            exhausted = True
+    while len(diag) >= 2:
+        v = find_isotropic(diag)
+        if v is None:
             break
-        m = len(current_diag)
-        local_gram = [[current_diag[i] if i == j else Fraction(0) for j in range(m)]
-                      for i in range(m)]
-        pivot = next(i for i in range(m) if v_local[i])
-        w = [Fraction(1 if i == pivot else 0) for i in range(m)]
-        bv = _bilinear(local_gram, v_local, w)
-        f0 = [c / bv for c in w]
-        qf0 = _bilinear(local_gram, f0, f0)
-        f_local = [fc - (qf0 / 2) * vc for fc, vc in zip(f0, v_local)]
-        rows = [_mat_vec(local_gram, v_local), _mat_vec(local_gram, f_local)]
-        comp = _nullspace(rows, m)
-        sub = _congruence_transform(local_gram, comp)
-        t_cols, sub_diag = _diagonalize_symmetric(sub)
-        new_local = [[sum(comp[k][r] * t_cols[c][k] for k in range(len(comp)))
-                      for r in range(m)] for c in range(len(comp))]
-
-        def lift(vec):
-            return [sum(current_basis[k][r] * vec[k] for k in range(m))
-                    for r in range(n)]
-
-        pairs.append((lift(v_local), lift(f_local)))
-        current_basis = [lift(col) for col in new_local]
-        current_diag = [d for d in sub_diag]
-        if any(d == 0 for d in current_diag):
+        gram = _diagonal(diag)
+        # f0 is a unit vector scaled so that B(v, f0) = 1.
+        pivot = next(i for i, c in enumerate(v) if c)
+        f0 = [Fraction(i == pivot) / (diag[pivot] * v[pivot]) for i in range(len(v))]
+        f = [fc - (_bilinear(gram, f0, f0) / 2) * vc for fc, vc in zip(f0, v)]
+        comp, sub = _complement(gram, [v, f])
+        t_cols, diag = _diagonalize_symmetric(sub)
+        pairs += [_combine(basis, v), _combine(basis, f)]
+        basis = [_combine(basis, _combine(comp, t)) for t in t_cols]
+        if any(d == 0 for d in diag):
             raise AssertionError("restriction of a nondegenerate form degenerated")
 
-    residual = tuple(int(d) if d.denominator == 1 else d for d in current_diag)
-    columns = []
-    for e, f in pairs:
-        columns.append(e)
-        columns.append(f)
-    columns.extend(current_basis[:len(current_diag)])
-    decomposition = WittDecomposition(len(pairs), residual,
+    exhausted = len(diag) >= 2  # the loop ended on an empty search
+    residual = tuple(int(d) if d.denominator == 1 else d for d in diag)
+    columns = pairs + basis
+    decomposition = WittDecomposition(len(pairs) // 2, residual,
                                       tuple(tuple(c) for c in columns), exhausted)
-    achieved = _congruence_transform(gram, columns)
-    if achieved != decomposition.target_gram():
-        raise AssertionError("congruence certificate failed to verify")
+    _certify(_diagonal(form), columns, decomposition.target_gram())
     return decomposition
 
 
@@ -405,26 +390,12 @@ def witt_split(form) -> WittDecomposition:
 
 def represent(diag, value):
     """Rational vector v with q(v) = value for a diagonal form, or None."""
-    diag = [Fraction(d) for d in diag]
     value = Fraction(value)
-    d = _clear_denominators(diag + [Fraction(-1)])
-    scale = Fraction(d[-1], -1)
-    head = d[:-1]
-    tail = scale * value
-    for height in range(1, SEARCH_BOUND + 1):
-        for prefix in product(range(-height, height + 1), repeat=len(diag)):
-            if max((abs(c) for c in prefix), default=0) != height:
-                continue
-            lhs = sum(di * ci * ci for di, ci in zip(head, prefix))
-            # lhs = tail * s^2 for an integer s within the bound
-            if tail == 0:
-                continue
-            ratio = Fraction(lhs) / tail
-            if ratio <= 0 or ratio.denominator != 1:
-                continue
-            root = isqrt(ratio.numerator)
-            if root * root != ratio.numerator or root == 0 or root > SEARCH_BOUND:
-                continue
+    if value == 0:
+        return None
+    # v = prefix / root for a zero of diag + <-value> with root != 0.
+    for prefix, root in _zeros([Fraction(d) for d in diag] + [-value]):
+        if root:
             return [Fraction(c, root) for c in prefix]
     return None
 
@@ -438,34 +409,23 @@ def _congruence_columns(gram, targets):
     v_diag = represent(diag, targets[0])
     if v_diag is None:
         return None
-    m = len(gram)
-    v = [sum(cols[k][r] * v_diag[k] for k in range(m)) for r in range(m)]
-    comp = _nullspace([_mat_vec(gram, v)], m)
-    sub = _congruence_transform(gram, comp)
+    v = _combine(cols, v_diag)
+    comp, sub = _complement(gram, [v])
     rest = _congruence_columns(sub, targets[1:])
     if rest is None:
         return None
-    lifted = [[sum(comp[k][r] * col[k] for k in range(len(comp))) for r in range(m)]
-              for col in rest]
-    return [v] + lifted
+    return [v] + [_combine(comp, col) for col in rest]
 
 
 def congruence_between(f, g):
     """Transform P with P^T diag(f) P = diag(g), or None within the bound."""
-    f = [Fraction(c) for c in f]
-    g = [Fraction(c) for c in g]
     if len(f) != len(g):
         return None
-    gram = [[f[i] if i == j else Fraction(0) for j in range(len(f))]
-            for i in range(len(f))]
-    cols = _congruence_columns(gram, g)
+    gram = _diagonal(f)
+    cols = _congruence_columns(gram, [Fraction(c) for c in g])
     if cols is None:
         return None
-    achieved = _congruence_transform(gram, cols)
-    target = [[g[i] if i == j else Fraction(0) for j in range(len(g))]
-              for i in range(len(g))]
-    if achieved != target:
-        raise AssertionError("congruence certificate failed to verify")
+    _certify(gram, cols, _diagonal(g))
     return tuple(tuple(c) for c in cols)
 
 

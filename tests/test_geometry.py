@@ -1,5 +1,6 @@
 """Pluecker embedding, hyperplane charts, Witt decomposition."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -210,3 +211,9 @@ def test_represent_and_congruence():
     achieved = conjugate_form([1, -1], [list(c) for c in p])
     assert achieved == [[Fraction(2), 0], [0, Fraction(-2)]]
     assert congruence_between([1, 1], [-1, -1]) is None
+    # <1,2,3,5> and <1,1,1,1> are definite, so they have no zero to search for.
+    for call in (lambda: represent([1, 2, 3], -5),
+                 lambda: congruence_between([1, 1, 1], [-1, -1, -1])):
+        start = time.perf_counter()
+        assert call() is None
+        assert time.perf_counter() - start < 0.1
