@@ -16,7 +16,7 @@ import click
 
 from .algebras import SplitAlgebra, QuatAlgebra, enumerate_right_ideals, independent, \
     independent_left_ideal, symbolic_quaternion
-from .exact import IntMatrix, det_exact, invertible_over_localization
+from .exact import IntMatrix, Poly, det_exact, invertible_over_localization
 from .geometry import all_charts, chart_equation, classify_all_charts, plucker_embed, \
     quadric_form_value, quadric_identity_samples, verify_quadric_identity, witt_split
 from .hyperplane import basis_certificate, format_cycle, gram_matrix, hyperplane_mul, \
@@ -136,7 +136,6 @@ def _check_chart_sweep():
     for pivots, cls in classify_all_charts(3).items():
         rows[",".join(map(str, pivots))] = cls.kind
     eq = chart_equation((1, 2, 4))
-    from .exact import Poly
     expected = Poly.var("a33") - (Poly.var("a51") * Poly.var("a62")
                                   - Poly.var("a52") * Poly.var("a61"))
     verbatim = eq == expected
@@ -374,7 +373,7 @@ def d2_command(n, q, as_json):
     oracle = d2_matrix_from_chern(n, q)
     ok = matrix.entries == oracle.entries
     _report("d2", {"n": n, "q": q}, "pass" if ok else "fail",
-            {"matrix": json.loads(matrix.to_json()), "oracle_agrees": ok}, as_json)
+            {"matrix": matrix.to_dict(), "oracle_agrees": ok}, as_json)
 
 
 @main.command("ss")

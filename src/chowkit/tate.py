@@ -11,7 +11,6 @@ expansion (the lambda-linear coefficient).
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -176,18 +175,16 @@ class D2Matrix:
     def entry(self, i: int, j: int) -> int:
         return self.entries[i][j]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "q": self.q,
-                "rows": [format_multi_index(i) for i in self.row_indices],
-                "cols": [format_multi_index(j) for j in self.col_indices],
-                "entries": [list(row) for row in self.entries],
-                "unit": "c*[A]",
-            },
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        """The matrix as a JSON-ready dict with its index labels and unit."""
+        return {
+            "n": self.n,
+            "q": self.q,
+            "rows": [format_multi_index(i) for i in self.row_indices],
+            "cols": [format_multi_index(j) for j in self.col_indices],
+            "entries": [list(row) for row in self.entries],
+            "unit": "c*[A]",
+        }
 
 
 def _closed_form_column(col) -> dict:

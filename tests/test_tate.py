@@ -197,9 +197,7 @@ def test_d2_structure_rules():
 
 
 def test_d2_json_labels():
-    import json
-
-    doc = json.loads(d2_matrix(3, 2).to_json())
+    doc = d2_matrix(3, 2).to_dict()
     assert doc["rows"] == ["{2}"]
     assert doc["cols"] == ["{3}", "{1,2}"]
     assert doc["entries"] == [[2, 0]]
