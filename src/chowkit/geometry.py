@@ -227,9 +227,11 @@ def _certify(gram, columns, target):
 def _complement(gram, vectors):
     """(basis, restricted Gram matrix) of the orthogonal complement of vectors."""
     reduced, pivots = row_echelon([_combine(gram, v) for v in vectors])  # G v, G symmetric
+    ncols = len(gram)
     basis = []
-    for fc in (c for c in range(len(gram)) if c not in pivots):
-        vec = [Fraction(0)] * len(gram)
+    free = [c for c in range(ncols) if c not in pivots]
+    for fc in free:
+        vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for row, pc in zip(reduced, pivots):
             vec[pc] = -row[fc]
@@ -355,9 +357,8 @@ def witt_split(form) -> WittDecomposition:
     if any(c == 0 for c in form):
         raise ValueError("diagonal form must be nondegenerate")
     # Column vectors, in original coordinates, spanning the not-yet-split
-    # subspace, on which the form is diag.
-    basis = [[Fraction(1 if i == j else 0) for i in range(len(form))]
-             for j in range(len(form))]
+    # subspace, on which the form is diag; they start as the identity.
+    basis = _diagonal([1] * len(form))
     diag = list(form)
     pairs = []
     while len(diag) >= 2:
