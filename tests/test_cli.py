@@ -145,6 +145,16 @@ def test_usage_errors_exit_two():
     assert run("nonexistent").exit_code == 2
 
 
+@pytest.mark.parametrize("args", [(), ("verify",)])
+def test_group_without_a_subcommand_is_a_usage_error(args):
+    # The help goes to stderr with no `Error:` line, so the manifest cannot pin it.
+    result = run(*args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout_bytes == b""
+    assert "Traceback" not in result.output
+
+
 def test_charts_reports_verbatim_equation():
     _, doc = run_json("charts", "--degree", "3")
     rows = {tuple(r["pivots"]): r for r in doc["payload"]["charts"]}
