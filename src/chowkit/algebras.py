@@ -8,13 +8,12 @@ enumerated outright, and over the rationals for rank tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
 
-from .exact import Poly, is_prime, row_echelon
+from .exact import Poly, Record, is_prime, row_echelon
 
 
 class AlgebraMismatchError(ValueError):
@@ -38,12 +37,10 @@ def _check_scalar(v, what: str):
     return v
 
 
-@dataclass(frozen=True)
-class QuatAlgebra:
+class QuatAlgebra(Record):
     """The four-dimensional algebra with i*i = a, j*j = b, i*j = -j*i = k."""
 
-    a: object
-    b: object
+    __slots__ = ("a", "b")
 
     def __post_init__(self):
         for name, v in (("a", self.a), ("b", self.b)):
@@ -68,26 +65,18 @@ class QuatAlgebra:
         return cls(Poly.var("a"), Poly.var("b"))
 
 
-@dataclass(frozen=True)
-class QuatElement:
-    """x + y*i + z*j + w*k with components in the algebra's base ring."""
+class QuatElement(Record):
+    """x + y*i + z*j + w*k with components in the algebra's base ring.
 
-    algebra: QuatAlgebra
-    x: object
-    y: object
-    z: object
-    w: object
+    Ring results are built with ``_trusted``: sums and products of checked
+    components are scalars.
+    """
+
+    __slots__ = ("algebra", "x", "y", "z", "w")
 
     def __post_init__(self):
         for v in (self.x, self.y, self.z, self.w):
             _check_scalar(v, "component")
-
-    @classmethod
-    def _trusted(cls, algebra: QuatAlgebra, x, y, z, w) -> "QuatElement":
-        """Ring results only: sums and products of checked components are scalars."""
-        u = object.__new__(cls)
-        u.__dict__.update(algebra=algebra, x=x, y=y, z=z, w=w)
-        return u
 
     def components(self):
         return (self.x, self.y, self.z, self.w)
@@ -167,12 +156,11 @@ def rank_fractions(rows) -> int:
 # -- split matrix algebras ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitAlgebra:
+class SplitAlgebra(Record):
     """M_n(F) for F a prime field F_p (p prime) or the rationals (p = None)."""
 
-    n: int
-    p: int | None = None
+    __slots__ = ("n", "p")
+    _defaults = {"p": None}
 
     def __post_init__(self):
         if self.n < 1:
@@ -274,12 +262,14 @@ def subspaces(n: int, k: int, p: int):
             yield tuple(tuple(r) for r in rows)
 
 
-@dataclass(frozen=True)
-class RightIdeal:
-    """A right ideal of M_n(F_p) of rank k*n, recorded by its column space."""
+class RightIdeal(Record):
+    """A right ideal of M_n(F_p) of rank k*n, recorded by its column space.
 
-    subspace: tuple          # RREF basis of U, the common column space
-    matrix_basis: tuple      # k*n matrices spanning Hom(V, U)
+    subspace is the RREF basis of U, the common column space; matrix_basis
+    holds k*n matrices spanning Hom(V, U).
+    """
+
+    __slots__ = ("subspace", "matrix_basis")
 
 
 def enumerate_right_ideals(alg: SplitAlgebra, k: int):

@@ -4,19 +4,23 @@ Each subcommand prints a deterministic report (text by default, a single JSON
 document with --json) and exits 0 on pass/info, 1 on a failed verification,
 2 on usage errors.  Timing is deliberately kept out of the output so that
 identical runs produce identical bytes.
+
+The command line is read by a small table-driven parser at the end of this
+module, on the standard library alone.  It keeps click's grammar and the
+wording of its usage errors, which the pinned runs in tests/golden/cli.jsonl
+hold.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
-
-import click
 
 from .algebras import SplitAlgebra, QuatAlgebra, enumerate_right_ideals, independent, \
     independent_left_ideal, symbolic_quaternion
-from .exact import IntMatrix, Poly, det_exact, invertible_over_localization
+from .exact import IntMatrix, Poly, Record, det_exact, invertible_over_localization
 from .geometry import all_charts, chart_equation, classify_all_charts, plucker_embed, \
     quadric_form_value, quadric_identity_samples, verify_quadric_identity, witt_split
 from .hyperplane import basis_certificate, format_cycle, gram_matrix, hyperplane_mul, \
@@ -27,8 +31,12 @@ from .schubert import GrChowClass, box_partitions, format_partition, parse_parti
     pieri, point_count, schur_product
 from .spectral import SPLIT_EXTENSION_NOTE, NZ, Z, atom, direct_sum, power_n, \
     render_group, weight_table
-from .tate import consistency_report, d2_matrix, d2_matrix_from_chern, \
+from .tate import D2_MAX_DEGREE, consistency_report, d2_matrix, d2_matrix_from_chern, \
     gl_tate_pattern, slice_consistency, max_weight
+
+
+class UsageError(Exception):
+    """A command line that cannot run: exit 2, the message on stderr."""
 
 
 def _report(command: str, inputs: dict, status: str, payload: dict, as_json: bool,
@@ -41,27 +49,27 @@ def _report(command: str, inputs: dict, status: str, payload: dict, as_json: boo
     """
     if as_json:
         doc = {"command": command, "inputs": inputs, "status": status, "payload": payload}
-        click.echo(json.dumps(doc, sort_keys=True, default=str))
+        print(json.dumps(doc, sort_keys=True, default=str))
     else:
         if text is None:
             text = [f"[{status}] {command}"]
             text += [f"  input {key}: {value}" for key, value in inputs.items()]
             text += [f"  {key}: {json.dumps(value, sort_keys=True, default=str)}"
                      for key, value in sorted(payload.items())]
-        click.echo("\n".join(text))
+        print("\n".join(text))
     sys.exit(0 if status in ("pass", "info") else 1)
 
 
 def _subcommand(fn):
-    """Give a subcommand its --json flag and turn any ValueError into a usage
-    error (exit 2, the message on stderr)."""
+    """Turn any ValueError a subcommand raises into a usage error (exit 2, the
+    message on stderr)."""
     @functools.wraps(fn)
     def run(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except ValueError as err:
-            raise click.UsageError(str(err))
-    return click.option("--json", "as_json", is_flag=True, help="emit a JSON document")(run)
+            raise UsageError(str(err))
+    return run
 
 
 # -- the verification battery ---------------------------------------------------
@@ -230,20 +238,9 @@ VERIFICATIONS = (
 )
 
 
-# -- command group ----------------------------------------------------------------
+# -- subcommands --------------------------------------------------------------------
 
 
-@click.group()
-def main():
-    """Exact verification toolkit for norm hypersurfaces and their invariants."""
-
-
-@main.group()
-def verify():
-    """Run verification batteries."""
-
-
-@verify.command("all")
 @_subcommand
 def verify_all(as_json):
     """Run the full verification battery; exit 0 only if everything passes."""
@@ -259,16 +256,6 @@ def verify_all(as_json):
     _report("verify all", {}, status, {"checks": checks, "failed": failed}, as_json, lines)
 
 
-@main.group("schubert")
-def schubert_group():
-    """Schubert calculus on Gr(3,6)."""
-
-
-@schubert_group.command("mul")
-@click.argument("first")
-@click.argument("second")
-@click.option("--xring", is_flag=True,
-              help="multiply inside the hyperplane-section ring (one factor must be (1))")
 @_subcommand
 def schubert_mul(first, second, xring, as_json):
     """Product of two Schubert classes, e.g. mul "(2,2)" "(1)"."""
@@ -295,20 +282,12 @@ def _mul_h(parts) -> dict:
     return {"result": str(result), "codim": section_codim(result.codim)}
 
 
-@main.group("xring")
-def xring_group():
-    """The Chow groups of the hyperplane section."""
-
-
-@xring_group.command("mul-h")
-@click.argument("label")
 @_subcommand
 def xring_mul_h(label, as_json):
     """Multiply a section class by the hyperplane class."""
     _report("xring mul-h", {"label": label}, "info", _mul_h(parse_partition(label)), as_json)
 
 
-@main.command("gram")
 @_subcommand
 def gram_command(as_json):
     """Gram matrix of the three middle-degree classes."""
@@ -316,7 +295,6 @@ def gram_command(as_json):
     _report("gram", {}, "pass" if ok else "fail", payload, as_json)
 
 
-@main.command("alphas")
 @_subcommand
 def alphas_command(as_json):
     """List the five rational cycles and verify their mod-3 recursion."""
@@ -325,7 +303,6 @@ def alphas_command(as_json):
     _report("alphas", {}, "pass" if ok else "fail", {"cycles": cycles, **steps}, as_json)
 
 
-@main.command("bases")
 @_subcommand
 def bases_command(as_json):
     """Unimodularity certificates for the six reference bases."""
@@ -335,9 +312,6 @@ def bases_command(as_json):
     _report("bases", {}, "pass" if ok else "fail", {"bases": lists, **payload}, as_json)
 
 
-@main.command("tateiso")
-@click.option("--invert", "inverted", multiple=True, type=int,
-              help="prime to invert (repeatable)")
 @_subcommand
 def tateiso_command(inverted, as_json):
     """Invertibility of the pairing matrix of the standard collection."""
@@ -352,8 +326,6 @@ def tateiso_command(inverted, as_json):
              "collection_size": len(collection), "collection": collection}, as_json)
 
 
-@main.command("glmotive")
-@click.option("--n", "n", required=True, type=int)
 @_subcommand
 def glmotive_command(n, as_json):
     """Tate pattern of GL_n and its total-count identity."""
@@ -363,12 +335,11 @@ def glmotive_command(n, as_json):
             {"pattern": _pattern_json(pattern), "total": pattern.total()}, as_json)
 
 
-@main.command("d2")
-@click.option("--n", "n", required=True, type=int)
-@click.option("--q", "q", required=True, type=int)
 @_subcommand
 def d2_command(n, q, as_json):
     """The second-differential matrix between twists q and q+1."""
+    if n > D2_MAX_DEGREE:
+        raise ValueError(f"degree must be at most {D2_MAX_DEGREE}")
     matrix = d2_matrix(n, q)
     oracle = d2_matrix_from_chern(n, q)
     ok = matrix.entries == oracle.entries
@@ -376,9 +347,6 @@ def d2_command(n, q, as_json):
             {"matrix": matrix.to_dict(), "oracle_agrees": ok}, as_json)
 
 
-@main.command("ss")
-@click.option("--n", "n", required=True, type=int)
-@click.option("--weight", "weight", required=True, type=int)
 @_subcommand
 def ss_command(n, weight, as_json):
     """Assembled spectral-sequence table for one weight."""
@@ -392,7 +360,6 @@ def ss_command(n, weight, as_json):
             {"table": rendered, "assumptions": [SPLIT_EXTENSION_NOTE]}, as_json, lines)
 
 
-@main.command("quadric")
 @_subcommand
 def quadric_command(as_json):
     """Symbolic and sampled verification of the embedding quadric identity."""
@@ -400,9 +367,6 @@ def quadric_command(as_json):
     _report("quadric", {}, "pass" if ok else "fail", payload, as_json)
 
 
-@main.command("plucker")
-@click.option("--a", "a", required=True, type=int)
-@click.option("--b", "b", required=True, type=int)
 @_subcommand
 def plucker_command(a, b, as_json):
     """Pluecker embedding of a generic pair for numeric structure constants."""
@@ -418,8 +382,6 @@ def plucker_command(a, b, as_json):
             {"u": [str(u) for u in point.u], "identity_holds": ok}, as_json)
 
 
-@main.command("charts")
-@click.option("--degree", "degree", type=click.Choice(["2", "3"]), required=True)
 @_subcommand
 def charts_command(degree, as_json):
     """Classify every chart of the block-determinant hyperplane."""
@@ -445,10 +407,6 @@ def charts_command(degree, as_json):
     _report("charts", {"degree": degree}, status, payload, as_json, lines)
 
 
-@main.command("ideals")
-@click.option("--n", "n", required=True, type=int)
-@click.option("--q", "q", required=True, type=int)
-@click.option("--k", "k", required=True, type=int)
 @_subcommand
 def ideals_command(n, q, k, as_json):
     """Enumerate right ideals of rank k*n in M_n(F_q)."""
@@ -460,9 +418,6 @@ def ideals_command(n, q, k, as_json):
              "subspaces": [[list(r) for r in ideal.subspace] for ideal in ideals]}, as_json)
 
 
-@main.command("witt")
-@click.option("--form", "form", required=True,
-              help="comma-separated diagonal entries, e.g. 1,-2,-3,6,-1")
 @_subcommand
 def witt_command(form, as_json):
     """Witt decomposition of a diagonal rational quadratic form."""
@@ -474,6 +429,248 @@ def witt_command(form, as_json):
             {"hyperbolic_planes": decomposition.planes,
              "residual": [str(d) for d in decomposition.residual],
              "search_exhausted": decomposition.search_exhausted}, as_json)
+
+
+# -- the command line ---------------------------------------------------------------
+#
+# click's grammar: options may come before, between or after the positional
+# arguments; `--opt value` and `--opt=value` both work, and the value is the
+# next argument even when it starts with "-"; `--` ends the options; a
+# repeated option keeps its last value unless it is repeatable.  A group reads
+# options only up to its subcommand's name.
+
+
+class _Param(Record):
+    """One parameter of a subcommand.
+
+    name is "--n" for an option or a flag and "first" for a positional
+    argument.  kind is bool for a flag, str for an argument, and for an option
+    the type of its value: int, str or a tuple of the allowed words.  dest is
+    the handler's keyword when it is not the bare name.  An option is required
+    unless it is repeatable; a repeatable one gives the tuple of its values.
+    """
+
+    __slots__ = ("name", "kind", "dest", "multiple", "help")
+    _defaults = {"dest": None, "multiple": False, "help": ""}
+
+
+_JSON = _Param("--json", bool, "as_json", help="emit a JSON document")
+_HELP = _Param("--help", bool, help="Show this message and exit.")
+
+# The help line of each group; the empty path is `chowkit` itself.
+GROUPS = {
+    (): "Exact verification toolkit for norm hypersurfaces and their invariants.",
+    ("verify",): "Run verification batteries.",
+    ("schubert",): "Schubert calculus on Gr(3,6).",
+    ("xring",): "The Chow groups of the hyperplane section.",
+}
+
+# `chowkit <words>` -> its handler and parameters.  Every subcommand also
+# takes --json, and --help.
+COMMANDS = {
+    ("verify", "all"): (verify_all, ()),
+    ("schubert", "mul"): (schubert_mul, (
+        _Param("first", str), _Param("second", str),
+        _Param("--xring", bool,
+               help="multiply inside the hyperplane-section ring (one factor must be (1))"))),
+    ("xring", "mul-h"): (xring_mul_h, (_Param("label", str),)),
+    ("gram",): (gram_command, ()),
+    ("alphas",): (alphas_command, ()),
+    ("bases",): (bases_command, ()),
+    ("tateiso",): (tateiso_command, (
+        _Param("--invert", int, "inverted", multiple=True, help="prime to invert (repeatable)"),)),
+    ("glmotive",): (glmotive_command, (_Param("--n", int),)),
+    ("d2",): (d2_command, (_Param("--n", int), _Param("--q", int))),
+    ("ss",): (ss_command, (_Param("--n", int), _Param("--weight", int))),
+    ("quadric",): (quadric_command, ()),
+    ("plucker",): (plucker_command, (_Param("--a", int), _Param("--b", int))),
+    ("charts",): (charts_command, (_Param("--degree", ("2", "3")),)),
+    ("ideals",): (ideals_command, (_Param("--n", int), _Param("--q", int), _Param("--k", int))),
+    ("witt",): (witt_command, (
+        _Param("--form", str, help="comma-separated diagonal entries, e.g. 1,-2,-3,6,-1"),)),
+}
+
+
+def _split(args, options, interspersed=True):
+    """(option name -> its values, in order of first use; positional arguments).
+
+    Without interspersed, the first positional argument ends the options and
+    everything from it on is positional, as for a group before its subcommand.
+    """
+    seen = {}
+    positional = []
+    rest = iter(args)
+    for arg in rest:
+        if arg == "--":
+            positional += rest
+        elif arg[:1] != "-" or arg == "-":
+            positional.append(arg)
+            if not interspersed:
+                positional += rest
+        else:
+            name, eq, value = arg.partition("=")
+            if name not in options:
+                if arg[:2] != "--":
+                    raise UsageError(f"No such option {arg[:2]!r}.")
+                raise _no_such("option", name, options)
+            if options[name].kind is bool:
+                if eq:
+                    raise UsageError(f"Option {name!r} does not take a value.")
+                value = True
+            elif not eq:
+                value = next(rest, None)
+                if value is None:
+                    raise UsageError(f"Option {name!r} requires an argument.")
+            seen.setdefault(name, []).append(value)
+    return seen, positional
+
+
+def _no_such(what: str, name: str, known) -> UsageError:
+    """click's error for an unknown long option or subcommand, with the known
+    names close to it."""
+    # Imported here: only this error needs it, and start-up should not pay for it.
+    from difflib import get_close_matches
+    close = sorted(get_close_matches(name, known))
+    message = f"No such {what} {name!r}."
+    if len(close) == 1:
+        message += f" Did you mean {close[0]!r}?"
+    elif close:
+        message += f" (Did you mean one of: {', '.join(map(repr, close))}?)"
+    return UsageError(message)
+
+
+def _convert(param, text):
+    """An option's value from its text, or click's usage error for it."""
+    if param.kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            problem = f"{text!r} is not a valid integer."
+    elif isinstance(param.kind, tuple) and text not in param.kind:
+        problem = f"{text!r} is not one of {', '.join(map(repr, param.kind))}."
+    else:
+        return text
+    raise UsageError(f"Invalid value for {param.name!r}: {problem}")
+
+
+def _keywords(params, seen, positional) -> dict:
+    """The handler's keyword arguments, checked in click's order: the options
+    given, in order of first use, then the other parameters as declared."""
+    arguments = [p.name for p in params if p.name[0] != "-"]
+    given = dict(zip(arguments, positional))
+    used = list(seen)
+    kwargs = {}
+    for param in sorted(params, key=lambda p: used.index(p.name) if p.name in seen else len(used)):
+        dest = param.dest or param.name.lstrip("-")
+        if param.kind is bool:
+            kwargs[dest] = param.name in seen
+        elif param.name in arguments:
+            if param.name not in given:
+                raise UsageError(f"Missing argument {param.name.upper()!r}.")
+            kwargs[dest] = given[param.name]
+        elif param.multiple:
+            kwargs[dest] = tuple(_convert(param, text) for text in seen.get(param.name, ()))
+        elif param.name in seen:
+            kwargs[dest] = _convert(param, seen[param.name][-1])
+        else:
+            choices = " Choose from:\n\t" + ",\n\t".join(param.kind) \
+                if isinstance(param.kind, tuple) else ""
+            raise UsageError(f"Missing option {param.name!r}.{choices}")
+    extra = positional[len(arguments):]
+    if extra:
+        plural = "s" if len(extra) > 1 else ""
+        raise UsageError(f"Got unexpected extra argument{plural} ({' '.join(extra)})")
+    return kwargs
+
+
+def _children(path) -> list:
+    """The subcommand names of the group at path, sorted."""
+    return sorted(key[-1] for key in {**GROUPS, **COMMANDS} if key and key[:-1] == path)
+
+
+def _summary(path) -> str:
+    """The help line of the group or subcommand at path."""
+    return GROUPS[path] if path in GROUPS else COMMANDS[path][0].__doc__
+
+
+def _metavar(kind) -> str:
+    if isinstance(kind, tuple):
+        return f" [{'|'.join(kind)}]"
+    return {bool: "", int: " INTEGER", str: " TEXT"}[kind]
+
+
+def _usage(path) -> str:
+    words = " ".join(("chowkit", *path))
+    if path in GROUPS:
+        return f"{words} [OPTIONS] COMMAND [ARGS]..."
+    arguments = [p.name.upper() for p in COMMANDS[path][1] if p.name[0] != "-"]
+    return " ".join([words, "[OPTIONS]", *arguments])
+
+
+def _help(path, file):
+    """Print the help of `chowkit <path>`: its usage, its description, its
+    options and, for a group, its subcommands."""
+    params = () if path in GROUPS else COMMANDS[path][1] + (_JSON,)
+    options = [(p.name + _metavar(p.kind),
+                p.help if p.kind is bool or p.multiple else f"{p.help}  [required]".lstrip())
+               for p in params + (_HELP,) if p.name[0] == "-"]
+    sections = [("Options:", options)]
+    if path in GROUPS:
+        sections.append(("Commands:", [(name, _summary(path + (name,)))
+                                       for name in _children(path)]))
+    lines = [f"Usage: {_usage(path)}", "", f"  {_summary(path)}"]
+    for title, rows in sections:
+        width = max(len(left) for left, _ in rows)
+        lines += ["", title] + [f"  {left:<{width}}  {right}".rstrip() for left, right in rows]
+    print("\n".join(lines), file=file)
+
+
+def main(argv=None, standalone_mode=True):
+    """Run `chowkit <argv>`, sys.argv[1:] by default; every run ends in SystemExit.
+
+    standalone_mode is click's keyword, kept because perfbench/worker.py calls
+    main(["verify", "all", "--json"], standalone_mode=False); the run ends in
+    the same SystemExit either way, and that caller catches it.
+    """
+    args = sys.argv[1:] if argv is None else list(argv)
+    group_options = {"--help": _HELP}
+    path = ()
+    try:
+        while path in GROUPS:
+            if not args:
+                _help(path, sys.stderr)
+                sys.exit(2)
+            seen, rest = _split(args, group_options, interspersed=False)
+            if not seen and rest[:1] and rest[0][:1] == "-":
+                # Only after "--" can a subcommand name start with "-"; click
+                # then reads it and all that follows as options once more.
+                seen = _split(rest, group_options, interspersed=False)[0]
+            if seen:
+                _help(path, sys.stdout)
+                sys.exit(0)
+            if not rest:
+                raise UsageError("Missing command.")
+            names = _children(path)
+            if rest[0] not in names:
+                raise _no_such("command", rest[0], names)
+            path, args = path + (rest[0],), rest[1:]
+        handler, params = COMMANDS[path]
+        params += (_JSON,)
+        options = {p.name: p for p in params + (_HELP,) if p.name[0] == "-"}
+        seen, positional = _split(args, options)
+        if "--help" in seen:
+            _help(path, sys.stdout)
+            sys.exit(0)
+        handler(**_keywords(params, seen, positional))
+    except UsageError as err:
+        print(f"Usage: {_usage(path)}\nTry '{' '.join(('chowkit', *path))} --help' for help."
+              f"\n\nError: {err}", file=sys.stderr)
+        sys.exit(2)
+    except BrokenPipeError:
+        # The reader left early, as `head` does: exit 1 with nothing on stderr.
+        # Python flushes stdout once more at exit, so point it at devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -9,13 +9,12 @@ No floating point appears anywhere: coefficients are Python ints and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, permutations
-from operator import add, mul, sub
-from typing import Iterable, Mapping, Sequence
+from operator import add, attrgetter, mul, sub
 
 
 class NonSquareError(ValueError):
@@ -24,6 +23,75 @@ class NonSquareError(ValueError):
 
 class InexactDivisionError(ArithmeticError):
     """Polynomial division left a nonzero remainder."""
+
+
+class Record:
+    """An immutable value with named fields: the package's one pattern for them.
+
+    A subclass names its fields in ``__slots__`` and may give defaults for
+    some in ``_defaults``.  The constructor takes the fields by position or by
+    keyword, stores them, then calls ``__post_init__``, where a subclass
+    checks them; ``_trusted`` stores values known to pass those checks without
+    calling it.  Records are equal when they have the same class and equal
+    fields, hash as the tuple of their fields and print as
+    ``Name(field=value, ...)``; assigning or deleting an attribute raises
+    AttributeError.  That is a frozen data class, built without the standard
+    module for them, whose import loads ``inspect`` and costs every process
+    about 16 ms.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) != len(names) or kwargs:
+            if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]):
+                raise TypeError(f"{type(self).__name__}() takes the fields {names}")
+            given = {**self._defaults, **dict(zip(names, args)), **kwargs}
+            missing = [name for name in names if name not in given]
+            if missing:
+                raise TypeError(f"{type(self).__name__}() is missing the fields {missing}")
+            args = [given[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _trusted(cls, *values):
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(record, name, value)
+        return record
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __init_subclass__(cls):
+        # _values is the tuple of the fields; attrgetter of one name gives the lone value.
+        get = attrgetter(*cls.__slots__)
+        cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _norm_coeff(c):
@@ -528,13 +596,13 @@ def row_echelon(rows, p: int | None = None):
     return m[:len(pivots)], pivots
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    """Diagonal d1 | d2 | ... with unimodular transforms: left*M*right is diagonal."""
+class SmithForm(Record):
+    """Diagonal d1 | d2 | ... with unimodular transforms: left*M*right is diagonal.
 
-    diagonal: tuple
-    left: IntMatrix
-    right: IntMatrix
+    diagonal is a tuple of ints; left and right are IntMatrix.
+    """
+
+    __slots__ = ("diagonal", "left", "right")
 
 
 def _bezout_step(x: int, y: int):

@@ -10,12 +10,11 @@ polynomials in the nine free matrix entries.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt, lcm
 
-from .exact import Poly, det_expansion, prime_factors, row_echelon
+from .exact import Poly, Record, det_expansion, prime_factors, row_echelon
 from .algebras import QuatAlgebra, QuatElement, nrd, quat_mul, symbolic_quaternion
 
 
@@ -37,8 +36,7 @@ def _exact_div(value, divisor):
     return int(out) if out.denominator == 1 else out
 
 
-@dataclass(frozen=True)
-class PluckerPoint:
+class PluckerPoint(Record):
     """The six reduced norms of a quaternion pair plus derived coordinates.
 
     norms = (Nrd a1, Nrd a2, Nrd(a1+a2), Nrd(a1+i a2), Nrd(a1+j a2),
@@ -46,8 +44,7 @@ class PluckerPoint:
     image quadric becomes t1*t2 = u1^2 - a u2^2 - b u3^2 + ab u4^2.
     """
 
-    norms: tuple
-    u: tuple
+    __slots__ = ("norms", "u")
 
 
 def plucker_embed(a1: QuatElement, a2: QuatElement) -> PluckerPoint:
@@ -158,11 +155,11 @@ def chart_equation(pivots, degree: int = 3) -> Poly:
     return Poly._coerce(top - bottom)
 
 
-@dataclass(frozen=True)
-class ChartClassification:
-    kind: str                 # "SL" or "graph"
-    pivot_variable: str | None
-    equation: Poly
+class ChartClassification(Record):
+    """kind is "SL" or "graph"; pivot_variable is a variable name or None;
+    equation is the chart's Poly."""
+
+    __slots__ = ("kind", "pivot_variable", "equation")
 
 
 def classify_chart(pivots, degree: int = 3) -> ChartClassification:
@@ -323,8 +320,7 @@ def find_isotropic(diag):
     return None
 
 
-@dataclass(frozen=True)
-class WittDecomposition:
+class WittDecomposition(Record):
     """planes hyperbolic planes plus a diagonal residual, with certificate.
 
     transform columns list the hyperbolic pairs (e, f) followed by the
@@ -332,10 +328,7 @@ class WittDecomposition:
     form by it yields hyperbolic blocks [[0,1],[1,0]] and diag(residual).
     """
 
-    planes: int
-    residual: tuple
-    transform: tuple
-    search_exhausted: bool
+    __slots__ = ("planes", "residual", "transform", "search_exhausted")
 
     def target_gram(self):
         g = _diagonal([0] * (2 * self.planes) + list(self.residual))

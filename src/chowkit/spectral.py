@@ -11,9 +11,7 @@ precise sense in which the output does not depend on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exact import is_prime
+from .exact import Record, is_prime
 from .tate import NotPrimeError, d2_matrix, enumerate_multi_indices
 
 
@@ -97,25 +95,22 @@ def cech_group(n: int, p: int, w: int) -> tuple:
 # -- pages ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Differential:
-    """A d_2 arrow (p, q) -> (p+2, q-1) given by a unit times reduction."""
+class Differential(Record):
+    """A d_2 arrow (p, q) -> (p+2, q-1) given by a unit times reduction.
 
-    source: tuple
-    target: tuple
-    factor: int           # the bumped index value i_t mod n; a unit mod n
-    unit: str             # symbolic unit carried along, never consulted
+    factor is the bumped index value i_t mod n, a unit mod n; unit is the
+    symbolic unit carried along, never consulted.
+    """
+
+    __slots__ = ("source", "target", "factor", "unit")
 
 
-@dataclass(frozen=True)
-class E2Page:
-    n: int
-    weight: int
-    cells: dict
-    differentials: tuple = ()
+class E2Page(Record):
+    __slots__ = ("n", "weight", "cells", "differentials")
+    _defaults = {"differentials": ()}
 
     def __hash__(self):
-        # cells stays a dict, so the generated hash would fail on it.
+        # cells stays a dict, so the field-tuple hash would fail on it.
         return hash((self.n, self.weight, frozenset(self.cells.items()), self.differentials))
 
     def cell(self, p: int, q: int) -> tuple:

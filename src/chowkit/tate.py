@@ -12,12 +12,11 @@ expansion (the lambda-linear coefficient).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, takewhile
 from math import comb, prod
 
-from .exact import Poly, is_prime
+from .exact import Poly, Record, is_prime
 
 
 class NotPrimeError(ValueError):
@@ -33,6 +32,12 @@ LAMBDA = "lam"
 # The GL_n pattern has about n^3/6 entries: at n = 64 `chowkit glmotive --json`
 # prints 1.2 MB in under a second, and the work grows as n^4 above that.
 GL_PATTERN_MAX_DEGREE = 64
+
+# `chowkit d2` compares the closed form with the Chern-product oracle, whose
+# cost grows steeply with the degree: over every twist, the slowest d2 run
+# takes under 5 ms at n = 7 but about 2.1 s at n = 11 (q = 51), and 10 s at
+# (13, 46), on a 2-CPU x86 host.  `chowkit d2` refuses larger degrees.
+D2_MAX_DEGREE = 7
 
 
 # -- multi-indices ------------------------------------------------------------
@@ -157,8 +162,7 @@ def chern_twist_product(index) -> Poly:
 # -- the second differential ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class D2Matrix:
+class D2Matrix(Record):
     """Differential data between twist weights q and q+1 for degree n.
 
     Entry (I, J) is i_t mod n when J is I with one index bumped by one, else
@@ -166,11 +170,7 @@ class D2Matrix:
     is never given a numeric value.
     """
 
-    n: int
-    q: int
-    row_indices: tuple
-    col_indices: tuple
-    entries: tuple
+    __slots__ = ("n", "q", "row_indices", "col_indices", "entries")
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i][j]

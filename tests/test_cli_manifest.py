@@ -2,12 +2,11 @@
 
 `golden/cli.jsonl` holds one run per line:
 {"args": [...], "exit": int, "error": "Error: ..." | null, "sha256": stdout digest}.
-Only a usage error (exit 2) prints an `Error:` line; click words the rest of
-its usage message differently from version to version, so nothing else of
-stderr is pinned.
+Only a usage error (exit 2) prints an `Error:` line.  The rest of stderr, the
+usage and help text around it, is not pinned.
 
-Under pytest each line replays in process through click's CliRunner.  Run as a
-script, `python tests/test_cli_manifest.py` replays each line against the
+Under pytest each line replays in process through `cli_runner.invoke`.  Run as
+a script, `python tests/test_cli_manifest.py` replays each line against the
 installed `chowkit` console script, one process per run.
 
 A deliberate output change edits its one line, with the digest taken from
@@ -23,9 +22,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from chowkit.cli import main
+from cli_runner import invoke
 
 MANIFEST = Path(__file__).parent / "golden" / "cli.jsonl"
 RUNS = [json.loads(line) for line in MANIFEST.read_text().splitlines()]
@@ -53,13 +51,7 @@ def test_manifest_is_well_formed():
 
 @pytest.mark.parametrize("run", RUNS, ids=lambda run: shlex.join(run["args"]))
 def test_pinned_run(run):
-    # Older click mixes stderr into stdout unless told not to; newer click
-    # always keeps them apart and has no such argument.
-    try:
-        runner = CliRunner(mix_stderr=False)
-    except TypeError:
-        runner = CliRunner()
-    result = runner.invoke(main, run["args"])
+    result = invoke(run["args"])
     assert outcome(result.exit_code, result.stdout_bytes, result.stderr) == pinned(run)
 
 

@@ -2,8 +2,8 @@
 
 A top-level public function or class must be loaded somewhere in ``src/chowkit``
 outside its own definition and outside ``__init__.py``, or be one of the
-functions the benchmark's tracer wraps.  The CLI's click commands and groups
-are entry points and need no caller.  A public method of a public class must be
+functions the benchmark's tracer wraps; the CLI's subcommand handlers are
+loaded by its dispatch table.  A public method of a public class must be
 loaded as an attribute of that name somewhere outside its own body, or be one
 of the ``Poly`` methods the tracer wraps; the scan goes by name alone.
 """
@@ -29,11 +29,6 @@ def package_modules():
     """Module stem -> parsed source, for every module but ``__init__.py``."""
     return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
             if path.name != "__init__.py"}
-
-
-def is_cli_command(node) -> bool:
-    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
-               and d.func.attr in ("command", "group") for d in node.decorator_list)
 
 
 def loads(node, bound=frozenset()):
@@ -62,7 +57,7 @@ def orphans():
         for defn in tree.body:
             if not isinstance(defn, (ast.FunctionDef, ast.ClassDef)) or defn.name.startswith("_"):
                 continue
-            if (stem, defn.name) in traced or is_cli_command(defn):
+            if (stem, defn.name) in traced:
                 continue
             used = any(defn.name in loads(stmt) for stmt in tree.body if stmt is not defn) or any(
                 (stem, defn.name) in imports[other] and defn.name in loads(other_tree)
