@@ -173,9 +173,9 @@ def test_startup_imports_only_the_standard_library():
 
 
 def test_closed_stdout_exits_one_without_a_traceback():
-    # As `chowkit ... | head` does; the 1.2 MB report cannot fit in a pipe buffer.
+    # As `chowkit ... | head` does; the 0.2 MB report cannot fit in a pipe buffer.
     src = Path(__file__).resolve().parent.parent / "src"
-    with subprocess.Popen([sys.executable, "-m", "chowkit.cli", "glmotive", "--n", "64", "--json"],
+    with subprocess.Popen([sys.executable, "-m", "chowkit.cli", "glmotive", "--n", "40", "--json"],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           env={**os.environ, "PYTHONPATH": str(src)}) as proc:
         proc.stdout.close()
