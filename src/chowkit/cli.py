@@ -238,7 +238,7 @@ VERIFICATIONS = (
 )
 
 
-# -- subcommands --------------------------------------------------------------------
+# -- subcommands ------------------------------------------------------------------
 
 
 @_subcommand
@@ -431,7 +431,7 @@ def witt_command(form, as_json):
              "search_exhausted": decomposition.search_exhausted}, as_json)
 
 
-# -- the command line ---------------------------------------------------------------
+# -- the command line -------------------------------------------------------------
 #
 # click's grammar: options may come before, between or after the positional
 # arguments; `--opt value` and `--opt=value` both work, and the value is the

@@ -36,12 +36,16 @@ class Record:
     fields, hash as the tuple of their fields and print as
     ``Name(field=value, ...)``; assigning or deleting an attribute raises
     AttributeError.  That is a frozen data class, built without the standard
-    module for them, whose import loads ``inspect`` and costs every process
-    about 16 ms.
+    module for them, whose import loads ``inspect`` in every process.
     """
 
     __slots__ = ()
     _defaults = {}
+
+    def __init_subclass__(cls):
+        # _values is the tuple of the fields; attrgetter of one name gives the lone value.
+        get = attrgetter(*cls.__slots__)
+        cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -72,11 +76,6 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __init_subclass__(cls):
-        # _values is the tuple of the fields; attrgetter of one name gives the lone value.
-        get = attrgetter(*cls.__slots__)
-        cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
