@@ -159,6 +159,15 @@ def test_group_without_a_subcommand_is_a_usage_error(args):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("args", [("--help",), ("verify", "--help"), ("d2", "--help")])
+def test_help_exits_zero_on_stdout(args):
+    # Only the stream and the exit code are held; the help wording is not pinned.
+    result = run(*args)
+    assert result.exit_code == 0
+    assert result.stdout_bytes.decode().startswith("Usage:")
+    assert result.stderr == ""
+
+
 def test_startup_imports_only_the_standard_library():
     # -S keeps site, and the .pth files it runs, from importing modules (typing
     # among them) that would hide a regression.
