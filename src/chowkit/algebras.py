@@ -16,18 +16,6 @@ from operator import mul
 from .exact import Poly, Record, is_prime, row_echelon
 
 
-class AlgebraMismatchError(ValueError):
-    """Operands belong to different algebras."""
-
-
-class EmptyTupleError(ValueError):
-    """Independence of the empty tuple is undefined."""
-
-
-class TooLargeError(ValueError):
-    """Enumeration request exceeds the desk-scale bound."""
-
-
 _SCALAR_TYPES = (int, Fraction, Poly)
 
 
@@ -83,7 +71,7 @@ class QuatElement(Record):
 
     def _same(self, other: "QuatElement"):
         if self.algebra != other.algebra:
-            raise AlgebraMismatchError("elements of different quaternion algebras")
+            raise ValueError("elements of different quaternion algebras")
 
     def __add__(self, other: "QuatElement") -> "QuatElement":
         self._same(other)
@@ -183,7 +171,7 @@ class SplitAlgebra(Record):
     def all_elements(self):
         """Every element; only sensible over a small finite field."""
         if self.p is None:
-            raise TooLargeError("cannot enumerate M_n(Q)")
+            raise ValueError("cannot enumerate M_n(Q)")
         cells = self.n * self.n
         for values in product(range(self.p), repeat=cells):
             yield tuple(tuple(values[r * self.n + c] for c in range(self.n))
@@ -210,7 +198,7 @@ def independent(alg: SplitAlgebra, elements) -> bool:
     """
     elements = tuple(elements)
     if not elements:
-        raise EmptyTupleError("independence of an empty tuple")
+        raise ValueError("independence of an empty tuple")
     stacked = [row for e in elements for row in alg.matrix(e)]
     return alg._rank(stacked) == alg.n
 
@@ -223,7 +211,7 @@ def independent_left_ideal(alg: SplitAlgebra, elements) -> bool:
     """
     elements = tuple(elements)
     if not elements:
-        raise EmptyTupleError("independence of an empty tuple")
+        raise ValueError("independence of an empty tuple")
     rows = [row for e in elements for row in _left_translates(alg, alg.matrix(e))]
     return alg._rank(rows) == alg.n * alg.n
 
@@ -283,9 +271,9 @@ def enumerate_right_ideals(alg: SplitAlgebra, k: int):
     by their subspace basis.
     """
     if alg.p is None:
-        raise TooLargeError("ideal enumeration needs a finite base field")
+        raise ValueError("ideal enumeration needs a finite base field")
     if alg.p > 3 or alg.n > 3:
-        raise TooLargeError("enumeration bound is q <= 3 and n <= 3")
+        raise ValueError("enumeration bound is q <= 3 and n <= 3")
     if not 0 <= k <= alg.n:
         raise ValueError("ideal rank parameter out of range")
     n, p = alg.n, alg.p

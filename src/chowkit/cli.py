@@ -5,6 +5,10 @@ document with --json) and exits 0 on pass/info, 1 on a failed verification,
 2 on usage errors.  Timing is deliberately kept out of the output so that
 identical runs produce identical bytes.
 
+A usage error is any ValueError: the parser's, or the library's refusal of an
+input outside its hypotheses.  main alone turns it into exit 2, with the
+message on stderr.
+
 The command line is read by a small table-driven parser at the end of this
 module, on the standard library alone.  It keeps click's grammar and the
 wording of its usage errors, which the pinned runs in tests/golden/cli.jsonl
@@ -13,7 +17,6 @@ hold.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import sys
@@ -35,10 +38,6 @@ from .tate import D2_MAX_DEGREE, consistency_report, d2_matrix, d2_matrix_from_c
     gl_tate_pattern, slice_consistency, max_weight
 
 
-class UsageError(Exception):
-    """A command line that cannot run: exit 2, the message on stderr."""
-
-
 def _report(command: str, inputs: dict, status: str, payload: dict, as_json: bool,
             text=None):
     """Print one report and exit: 0 on pass or info, 1 on fail.
@@ -58,18 +57,6 @@ def _report(command: str, inputs: dict, status: str, payload: dict, as_json: boo
                      for key, value in sorted(payload.items())]
         print("\n".join(text))
     sys.exit(0 if status in ("pass", "info") else 1)
-
-
-def _subcommand(fn):
-    """Turn any ValueError a subcommand raises into a usage error (exit 2, the
-    message on stderr)."""
-    @functools.wraps(fn)
-    def run(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ValueError as err:
-            raise UsageError(str(err))
-    return run
 
 
 # -- the verification battery ---------------------------------------------------
@@ -241,7 +228,6 @@ VERIFICATIONS = (
 # -- subcommands ------------------------------------------------------------------
 
 
-@_subcommand
 def verify_all(as_json):
     """Run the full verification battery; exit 0 only if everything passes."""
     checks = []
@@ -256,7 +242,6 @@ def verify_all(as_json):
     _report("verify all", {}, status, {"checks": checks, "failed": failed}, as_json, lines)
 
 
-@_subcommand
 def schubert_mul(first, second, xring, as_json):
     """Product of two Schubert classes, e.g. mul "(2,2)" "(1)"."""
     lam = parse_partition(first)
@@ -282,20 +267,17 @@ def _mul_h(parts) -> dict:
     return {"result": str(result), "codim": section_codim(result.codim)}
 
 
-@_subcommand
 def xring_mul_h(label, as_json):
     """Multiply a section class by the hyperplane class."""
     _report("xring mul-h", {"label": label}, "info", _mul_h(parse_partition(label)), as_json)
 
 
-@_subcommand
 def gram_command(as_json):
     """Gram matrix of the three middle-degree classes."""
     ok, payload = _check_gram_certificate()
     _report("gram", {}, "pass" if ok else "fail", payload, as_json)
 
 
-@_subcommand
 def alphas_command(as_json):
     """List the five rational cycles and verify their mod-3 recursion."""
     ok, steps = _check_cycle_recursion()
@@ -303,7 +285,6 @@ def alphas_command(as_json):
     _report("alphas", {}, "pass" if ok else "fail", {"cycles": cycles, **steps}, as_json)
 
 
-@_subcommand
 def bases_command(as_json):
     """Unimodularity certificates for the six reference bases."""
     ok, payload = _check_basis_certificates()
@@ -312,7 +293,6 @@ def bases_command(as_json):
     _report("bases", {}, "pass" if ok else "fail", {"bases": lists, **payload}, as_json)
 
 
-@_subcommand
 def tateiso_command(inverted, as_json):
     """Invertibility of the pairing matrix of the standard collection."""
     primes = set(inverted)
@@ -326,7 +306,6 @@ def tateiso_command(inverted, as_json):
              "collection_size": len(collection), "collection": collection}, as_json)
 
 
-@_subcommand
 def glmotive_command(n, as_json):
     """Tate pattern of GL_n and its total-count identity."""
     pattern = gl_tate_pattern(n)
@@ -335,7 +314,6 @@ def glmotive_command(n, as_json):
             {"pattern": _pattern_json(pattern), "total": pattern.total()}, as_json)
 
 
-@_subcommand
 def d2_command(n, q, as_json):
     """The second-differential matrix between twists q and q+1."""
     if n > D2_MAX_DEGREE:
@@ -347,7 +325,6 @@ def d2_command(n, q, as_json):
             {"matrix": matrix.to_dict(), "oracle_agrees": ok}, as_json)
 
 
-@_subcommand
 def ss_command(n, weight, as_json):
     """Assembled spectral-sequence table for one weight."""
     table = weight_table(n, weight)
@@ -360,14 +337,12 @@ def ss_command(n, weight, as_json):
             {"table": rendered, "assumptions": [SPLIT_EXTENSION_NOTE]}, as_json, lines)
 
 
-@_subcommand
 def quadric_command(as_json):
     """Symbolic and sampled verification of the embedding quadric identity."""
     ok, payload = _check_quadric_identity()
     _report("quadric", {}, "pass" if ok else "fail", payload, as_json)
 
 
-@_subcommand
 def plucker_command(a, b, as_json):
     """Pluecker embedding of a generic pair for numeric structure constants."""
     if a == 0 or b == 0:
@@ -382,7 +357,6 @@ def plucker_command(a, b, as_json):
             {"u": [str(u) for u in point.u], "identity_holds": ok}, as_json)
 
 
-@_subcommand
 def charts_command(degree, as_json):
     """Classify every chart of the block-determinant hyperplane."""
     degree = int(degree)
@@ -407,7 +381,6 @@ def charts_command(degree, as_json):
     _report("charts", {"degree": degree}, status, payload, as_json, lines)
 
 
-@_subcommand
 def ideals_command(n, q, k, as_json):
     """Enumerate right ideals of rank k*n in M_n(F_q)."""
     count, ideals = enumerate_right_ideals(SplitAlgebra(n, q), k)
@@ -418,7 +391,6 @@ def ideals_command(n, q, k, as_json):
              "subspaces": [[list(r) for r in ideal.subspace] for ideal in ideals]}, as_json)
 
 
-@_subcommand
 def witt_command(form, as_json):
     """Witt decomposition of a diagonal rational quadratic form."""
     entries = [int(v) for v in form.split(",") if v.strip()]
@@ -511,21 +483,21 @@ def _split(args, options, interspersed=True):
             name, eq, value = arg.partition("=")
             if name not in options:
                 if arg[:2] != "--":
-                    raise UsageError(f"No such option {arg[:2]!r}.")
+                    raise ValueError(f"No such option {arg[:2]!r}.")
                 raise _no_such("option", name, options)
             if options[name].kind is bool:
                 if eq:
-                    raise UsageError(f"Option {name!r} does not take a value.")
+                    raise ValueError(f"Option {name!r} does not take a value.")
                 value = True
             elif not eq:
                 value = next(rest, None)
                 if value is None:
-                    raise UsageError(f"Option {name!r} requires an argument.")
+                    raise ValueError(f"Option {name!r} requires an argument.")
             seen.setdefault(name, []).append(value)
     return seen, positional
 
 
-def _no_such(what: str, name: str, known) -> UsageError:
+def _no_such(what: str, name: str, known) -> ValueError:
     """click's error for an unknown long option or subcommand, with the known
     names close to it."""
     # Imported here: only this error needs it, and start-up should not pay for it.
@@ -536,7 +508,7 @@ def _no_such(what: str, name: str, known) -> UsageError:
         message += f" Did you mean {close[0]!r}?"
     elif close:
         message += f" (Did you mean one of: {', '.join(map(repr, close))}?)"
-    return UsageError(message)
+    return ValueError(message)
 
 
 def _convert(param, text):
@@ -550,7 +522,7 @@ def _convert(param, text):
         problem = f"{text!r} is not one of {', '.join(map(repr, param.kind))}."
     else:
         return text
-    raise UsageError(f"Invalid value for {param.name!r}: {problem}")
+    raise ValueError(f"Invalid value for {param.name!r}: {problem}")
 
 
 def _keywords(params, seen, positional) -> dict:
@@ -566,7 +538,7 @@ def _keywords(params, seen, positional) -> dict:
             kwargs[dest] = param.name in seen
         elif param.name in arguments:
             if param.name not in given:
-                raise UsageError(f"Missing argument {param.name.upper()!r}.")
+                raise ValueError(f"Missing argument {param.name.upper()!r}.")
             kwargs[dest] = given[param.name]
         elif param.multiple:
             kwargs[dest] = tuple(_convert(param, text) for text in seen.get(param.name, ()))
@@ -575,11 +547,11 @@ def _keywords(params, seen, positional) -> dict:
         else:
             choices = " Choose from:\n\t" + ",\n\t".join(param.kind) \
                 if isinstance(param.kind, tuple) else ""
-            raise UsageError(f"Missing option {param.name!r}.{choices}")
+            raise ValueError(f"Missing option {param.name!r}.{choices}")
     extra = positional[len(arguments):]
     if extra:
         plural = "s" if len(extra) > 1 else ""
-        raise UsageError(f"Got unexpected extra argument{plural} ({' '.join(extra)})")
+        raise ValueError(f"Got unexpected extra argument{plural} ({' '.join(extra)})")
     return kwargs
 
 
@@ -649,7 +621,7 @@ def main(argv=None, standalone_mode=True):
                 _help(path, sys.stdout)
                 sys.exit(0)
             if not rest:
-                raise UsageError("Missing command.")
+                raise ValueError("Missing command.")
             names = _children(path)
             if rest[0] not in names:
                 raise _no_such("command", rest[0], names)
@@ -662,7 +634,7 @@ def main(argv=None, standalone_mode=True):
             _help(path, sys.stdout)
             sys.exit(0)
         handler(**_keywords(params, seen, positional))
-    except UsageError as err:
+    except ValueError as err:
         print(f"Usage: {_usage(path)}\nTry '{' '.join(('chowkit', *path))} --help' for help."
               f"\n\nError: {err}", file=sys.stderr)
         sys.exit(2)

@@ -17,10 +17,6 @@ from itertools import chain, permutations
 from operator import add, attrgetter, mul, sub
 
 
-class NonSquareError(ValueError):
-    """A determinant-style operation was handed a rectangular matrix."""
-
-
 class InexactDivisionError(ArithmeticError):
     """Polynomial division left a nonzero remainder."""
 
@@ -429,7 +425,7 @@ def det_expansion(rows):
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
-        raise NonSquareError("determinant of a non-square array")
+        raise ValueError("determinant of a non-square array")
     if n == 0:
         return 1
     total = 0
@@ -478,9 +474,6 @@ class IntMatrix:
             raise ValueError("ragged rows")
         return cls(rows, cols, chain.from_iterable(data))
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
@@ -525,7 +518,7 @@ def det_exact(m: IntMatrix) -> int:
 
 def _bareiss(m: IntMatrix) -> int:
     if m.rows != m.cols:
-        raise NonSquareError("determinant of a non-square matrix")
+        raise ValueError("determinant of a non-square matrix")
     n = m.rows
     if n == 0:
         return 1

@@ -18,10 +18,6 @@ from .exact import Poly, Record, det_expansion, prime_factors, row_echelon
 from .algebras import QuatAlgebra, QuatElement, nrd, quat_mul, symbolic_quaternion
 
 
-class UnclassifiedChartError(ValueError):
-    """A chart matched neither the determinant-one nor the graph pattern."""
-
-
 # -- Pluecker embedding --------------------------------------------------------
 
 
@@ -183,7 +179,7 @@ def classify_chart(pivots, degree: int = 3) -> ChartClassification:
         [[Poly.var(f"a{r}{c + 1}") for c in range(k)] for r in free_rows])
     if eq == det_free - 1 or eq == 1 - det_free:
         return ChartClassification("SL", None, eq)
-    raise UnclassifiedChartError(f"chart {pivots} matches no smooth pattern")
+    raise ValueError(f"chart {pivots} matches no smooth pattern")
 
 
 def classify_all_charts(degree: int = 3):

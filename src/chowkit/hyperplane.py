@@ -32,26 +32,6 @@ DIM_X = DIM_GR - 1         # 8
 MIDDLE = DIM_X // 2        # 4
 
 
-class TopCodimError(ValueError):
-    """Hyperplane multiplication out of the top degree."""
-
-
-class CodimMismatchError(ValueError):
-    """Pairing of classes whose codimensions do not sum to dim X."""
-
-
-class RankMismatchError(ValueError):
-    """Basis certificate got the wrong number of classes for the degree."""
-
-
-class NotSelfDualError(ValueError):
-    """Codimension multiset is not symmetric around the middle degree."""
-
-
-class IndexOutOfRangeError(ValueError):
-    """Rational cycle index outside 1..5."""
-
-
 def label_weight(codim: int) -> int:
     """Degree of the Schubert labels used in CH^codim(X)."""
     if not 0 <= codim <= DIM_X:
@@ -96,7 +76,7 @@ def hyperplane_mul(x: GrChowClass) -> GrChowClass:
     """
     codim = section_codim(x.codim)
     if codim >= DIM_X:
-        raise TopCodimError("no room above the top degree")
+        raise ValueError("no room above the top degree")
     product = pieri(x)
     return pieri(product) if codim == MIDDLE else product
 
@@ -111,7 +91,7 @@ def intersection_pairing(x: GrChowClass, y: GrChowClass) -> int:
     """
     codim = section_codim(x.codim)
     if codim + section_codim(y.codim) != DIM_X:
-        raise CodimMismatchError("codimensions must sum to 8")
+        raise ValueError("codimensions must sum to 8")
     if x.is_zero or y.is_zero:
         return 0
     if codim == MIDDLE:
@@ -162,7 +142,7 @@ def rational_cycle(i: int) -> tuple:
     total - d.
     """
     if i not in _CYCLE_TABLE:
-        raise IndexOutOfRangeError("rational cycles are numbered 1..5")
+        raise ValueError("rational cycles are numbered 1..5")
     total, table = _CYCLE_TABLE[i]
     return tuple(section_class(total - d, table[d]) for d in range(3))
 
@@ -183,7 +163,7 @@ def verify_cycle_recursion(i: int):
     and the product acts on each component c_d alone.
     """
     if not 1 <= i <= 4:
-        raise IndexOutOfRangeError("recursion steps are numbered 1..4")
+        raise ValueError("recursion steps are numbered 1..4")
     diffs = (hyperplane_mul(c) - c_next
              for c, c_next in zip(rational_cycle(i), rational_cycle(i + 1)))
     residual = tuple(GrChowClass(K, N, d.codim, {p: (v + 1) % 3 - 1 for p, v in d.terms.items()})
@@ -225,8 +205,7 @@ def basis_certificate(classes, codim: int) -> bool:
     classes = list(classes)
     labels = box_partitions(K, COLS, weight_filter=label_weight(codim))
     if len(classes) != len(labels):
-        raise RankMismatchError(
-            f"need {len(labels)} classes at codim {codim}, got {len(classes)}")
+        raise ValueError(f"need {len(labels)} classes at codim {codim}, got {len(classes)}")
     rows = []
     for cls in classes:
         if section_codim(cls.codim) != codim:
@@ -262,8 +241,7 @@ def pairing_matrix(classes) -> IntMatrix:
         counts[codim] = counts.get(codim, 0) + 1
     for codim, count in counts.items():
         if counts.get(DIM_X - codim, 0) != count:
-            raise NotSelfDualError(
-                f"count at codim {codim} differs from count at {DIM_X - codim}")
+            raise ValueError(f"count at codim {codim} differs from count at {DIM_X - codim}")
     size = len(classes)
     entries = []
     for ci, xi in classes:

@@ -17,10 +17,6 @@ from operator import gt, sub
 from .exact import Poly, signed_permutations
 
 
-class CodimMismatchError(ValueError):
-    """Pairing of classes whose codimensions do not complement."""
-
-
 # -- partitions --------------------------------------------------------------
 
 
@@ -292,7 +288,7 @@ def duality_pairing(x: GrChowClass, y: GrChowClass) -> int:
     x._same_space(y)
     k, cols = x.k, x.n - x.k
     if x.codim + y.codim != k * cols:
-        raise CodimMismatchError("pairing needs complementary codimensions")
+        raise ValueError("pairing needs complementary codimensions")
     box = tuple([cols] * k)
     return schur_product(x, y).coefficient(box)
 

@@ -12,19 +12,7 @@ precise sense in which the output does not depend on it.
 from __future__ import annotations
 
 from .exact import Record, is_prime
-from .tate import NotPrimeError, d2_matrix, enumerate_multi_indices
-
-
-class WeightOutOfRangeError(ValueError):
-    """Weights above 3 have no complete coefficient table."""
-
-
-class UnresolvableDifferentialError(ValueError):
-    """A differential whose source/target shapes match no rewrite rule."""
-
-
-class HigherDifferentialError(ValueError):
-    """Support would admit a d_3 or later arrow; assembly refuses to guess."""
+from .tate import d2_matrix, enumerate_multi_indices
 
 
 # -- symbolic groups -----------------------------------------------------------
@@ -150,9 +138,9 @@ def build_e2(n: int, j: int, unit: str = "c") -> E2Page:
     between the corresponding multi-indices is a unit mod n.
     """
     if not is_prime(n):
-        raise NotPrimeError("the engine is stated for prime degree")
+        raise ValueError("the engine is stated for prime degree")
     if not 1 <= j <= 3:
-        raise WeightOutOfRangeError("coefficient tables cover weights 1..3")
+        raise ValueError("coefficient tables cover weights 1..3")
     # Every twist q <= j <= 3 has a slice: prime n >= 2 gives n(n+1)/2 >= 3.
     cells = {}
     members = {}
@@ -172,8 +160,7 @@ def build_e2(n: int, j: int, unit: str = "c") -> E2Page:
         src = members[(p, q)]
         tgt = members[target]
         if len(src) != 1 or len(tgt) != 1:
-            raise UnresolvableDifferentialError(
-                "differential between multi-summand cells is not supported")
+            raise ValueError("differential between multi-summand cells is not supported")
         matrix = d2_matrix(n, q - 1)
         row = matrix.row_indices.index(tgt[0][0])
         col = matrix.col_indices.index(src[0][0])
@@ -190,14 +177,12 @@ def _kernel(group: tuple) -> tuple:
             return NZ
         if kind == "atom":
             return power_n(text)
-    raise UnresolvableDifferentialError(
-        f"no kernel rule for source {render_group(group)}")
+    raise ValueError(f"no kernel rule for source {render_group(group)}")
 
 
 def _check_target(group: tuple):
     if len(group) != 1 or group[0][0] not in ("cyclic", "atom"):
-        raise UnresolvableDifferentialError(
-            f"no cokernel rule for target {render_group(group)}")
+        raise ValueError(f"no cokernel rule for target {render_group(group)}")
 
 
 def apply_d2(page: E2Page) -> E2Page:
@@ -234,8 +219,7 @@ def assemble(page: E2Page) -> dict:
         for (p2, q2) in support:
             r = q - q2 + 1
             if r >= 3 and p2 - p == r:
-                raise HigherDifferentialError(
-                    f"support admits a d_{r} arrow from {(p, q)} to {(p2, q2)}")
+                raise ValueError(f"support admits a d_{r} arrow from {(p, q)} to {(p2, q2)}")
     out = {}
     for (p, q) in sorted(support, key=lambda pq: (pq[0] + pq[1], -pq[1])):
         total = p + q

@@ -19,14 +19,6 @@ from math import comb, prod
 from .exact import Poly, Record, is_prime
 
 
-class NotPrimeError(ValueError):
-    """Degree parameter must be prime."""
-
-
-class SliceRangeError(ValueError):
-    """Twist weight outside the populated range."""
-
-
 LAMBDA = "lam"
 
 # The GL_n pattern has about n^3/6 entries: at n = 64 `chowkit glmotive --json`
@@ -120,7 +112,7 @@ def slice_patterns(n: int) -> dict:
     slice_consistency compares two independent routes.
     """
     if not is_prime(n):
-        raise NotPrimeError("slice patterns are stated for prime degree")
+        raise ValueError("slice patterns are stated for prime degree")
     out = {q: Counter((q, 2 * q - len(index)) for index in enumerate_multi_indices(n, weight=q))
            for q in range(1, max_weight(n) + 1)}
     out[n * n] = Counter({(n * n, 2 * n * n - 2): 1})
@@ -211,9 +203,9 @@ def _lambda_column(col) -> dict:
 
 def _d2(n: int, q: int, column) -> D2Matrix:
     if not is_prime(n):
-        raise NotPrimeError("differential matrices are stated for prime degree")
+        raise ValueError("differential matrices are stated for prime degree")
     if not 1 <= q <= max_weight(n):
-        raise SliceRangeError(f"twist weight must lie in 1..{max_weight(n)}")
+        raise ValueError(f"twist weight must lie in 1..{max_weight(n)}")
     rows = tuple(enumerate_multi_indices(n, weight=q))
     cols = tuple(enumerate_multi_indices(n, weight=q + 1))
     position = {row: i for i, row in enumerate(rows)}

@@ -6,12 +6,9 @@ from fractions import Fraction
 import pytest
 
 from chowkit.algebras import (
-    AlgebraMismatchError,
-    EmptyTupleError,
     QuatAlgebra,
     QuatElement,
     SplitAlgebra,
-    TooLargeError,
     enumerate_right_ideals,
     independent,
     independent_left_ideal,
@@ -101,7 +98,7 @@ def test_one_is_identity(alg):
 
 def test_algebra_mismatch_rejected(alg):
     other = QuatAlgebra(5, 7)
-    with pytest.raises(AlgebraMismatchError):
+    with pytest.raises(ValueError, match="elements of different quaternion algebras"):
         quat_mul(one(alg), one(other))
 
 
@@ -290,9 +287,9 @@ def test_independence_routes_agree_on_seeded_tuples(alg, size, low, high):
 
 def test_independence_empty_tuple():
     m2 = SplitAlgebra(2, 2)
-    with pytest.raises(EmptyTupleError):
+    with pytest.raises(ValueError, match="independence of an empty tuple"):
         independent(m2, ())
-    with pytest.raises(EmptyTupleError):
+    with pytest.raises(ValueError, match="independence of an empty tuple"):
         independent_left_ideal(m2, ())
 
 
@@ -332,9 +329,9 @@ def test_ideal_bases_have_expected_rank():
 
 
 def test_enumeration_bound():
-    with pytest.raises(TooLargeError):
+    with pytest.raises(ValueError, match="enumeration bound is q <= 3 and n <= 3"):
         enumerate_right_ideals(SplitAlgebra(4, 2), 1)
-    with pytest.raises(TooLargeError):
+    with pytest.raises(ValueError, match="enumeration bound is q <= 3 and n <= 3"):
         enumerate_right_ideals(SplitAlgebra(2, 5), 1)
-    with pytest.raises(TooLargeError):
+    with pytest.raises(ValueError, match="ideal enumeration needs a finite base field"):
         enumerate_right_ideals(SplitAlgebra(2, None), 1)

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chowkit.schubert import box_partitions, format_partition
-from chowkit.tate import D2_MAX_DEGREE, GL_PATTERN_MAX_DEGREE
+from chowkit.schubert import GrChowClass, box_partitions, format_partition
+from chowkit.tate import D2_MAX_DEGREE, GL_PATTERN_MAX_DEGREE, D2Matrix
 
 from cli_runner import invoke
 
@@ -226,6 +226,52 @@ def test_charts_fails_when_the_table_differs_from_the_charts(monkeypatch, edit, 
     assert result.exit_code == 1
     assert doc["status"] == "fail"
     assert doc["payload"][key] == [pivots]
+
+
+def failed_battery(monkeypatch, name, edited):
+    """The `verify all --json` document with chowkit.cli.<name> replaced by
+    edited, after checking that the text run fails as well."""
+    import chowkit.cli as cli
+
+    monkeypatch.setattr(cli, name, edited)
+    assert run("verify", "all").exit_code == 1
+    result, doc = run_json("verify", "all")
+    assert result.exit_code == 1
+    assert doc["status"] == "fail"
+    return doc["payload"]
+
+
+def test_pieri_schur_agreement_fails_when_the_routes_disagree(monkeypatch):
+    import chowkit.cli as cli
+
+    schur_product = cli.schur_product
+    spoiled = GrChowClass.schubert(3, 6, (2, 1))
+
+    def edited(first, second):
+        product = schur_product(first, second)
+        return product + product if second == spoiled else product
+
+    payload = failed_battery(monkeypatch, "schur_product", edited)
+    assert payload["failed"] == ["pieri_schur_agreement"]
+    check = next(c for c in payload["checks"] if c["name"] == "pieri_schur_agreement")
+    assert check["detail"]["disagreements"] == ["(2,1)"]
+
+
+def test_d2_oracle_fails_when_the_routes_disagree(monkeypatch):
+    import chowkit.cli as cli
+
+    derive = cli.d2_matrix_from_chern
+
+    def edited(n, q):
+        matrix = derive(n, q)
+        if (n, q) != (3, 2):
+            return matrix
+        return D2Matrix(n, q, matrix.row_indices, matrix.col_indices, ())
+
+    payload = failed_battery(monkeypatch, "d2_matrix_from_chern", edited)
+    assert payload["failed"] == ["d2_oracle"]
+    check = next(c for c in payload["checks"] if c["name"] == "d2_oracle")
+    assert check["detail"]["counterexample"] == {"n": 3, "q": 2}
 
 
 def test_ideals_counts():

@@ -1,5 +1,7 @@
-"""Exact kernel: polynomials, Bareiss determinants, Smith forms."""
+"""Exact kernel: records, polynomials, Bareiss determinants, Smith forms."""
 
+import copy
+import pickle
 from fractions import Fraction
 from itertools import takewhile
 
@@ -7,10 +9,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from chowkit import exact
+from chowkit.algebras import QuatAlgebra, SplitAlgebra
 from chowkit.exact import (
     IntMatrix,
     InexactDivisionError,
-    NonSquareError,
     Poly,
     det_exact,
     det_expansion,
@@ -20,6 +22,7 @@ from chowkit.exact import (
     prime_factors,
     smith_normal_form,
 )
+from chowkit.tate import d2_matrix
 
 
 # -- independent oracles -------------------------------------------------------
@@ -327,7 +330,7 @@ def test_det_codim5_base_change():
 
 
 def test_det_nonsquare_rejected():
-    with pytest.raises(NonSquareError):
+    with pytest.raises(ValueError, match="determinant of a non-square matrix"):
         det_exact(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
 
 
@@ -621,3 +624,14 @@ def test_localization_identity_and_zero():
 def test_localization_rejects_nonprime():
     with pytest.raises(ValueError):
         invertible_over_localization(identity(2), {4})
+
+
+# -- records ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("record", [QuatAlgebra(2, 3), SplitAlgebra(2, 2), d2_matrix(3, 2)],
+                         ids=["QuatAlgebra", "SplitAlgebra", "D2Matrix"])
+def test_records_survive_pickle_and_deepcopy(record):
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(copied) is type(record)
+        assert copied == record

@@ -217,3 +217,25 @@ def test_represent_and_congruence():
         start = time.perf_counter()
         assert call() is None
         assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("form", [
+    (-2, -5, 5, 2),     # a zero pivot with a nonzero diagonal entry below it: a swap
+    (2, 2, -2, -2),     # a zero pivot with only zeros below it: a partner column
+])
+def test_witt_split_through_a_zero_pivot(form):
+    w = witt_split(form)
+    assert w.planes == 2
+    assert w.residual == ()
+    assert not w.search_exhausted
+    hyperbolic = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    assert conjugate_form(form, [list(c) for c in w.transform]) == hyperbolic
+
+
+def test_congruence_through_a_zero_pivot():
+    # Diagonalizing the complement of the first column meets a zero pivot with
+    # only zeros on the diagonal below it: a partner column.
+    p = congruence_between((1, -1, -1), (-1, 1, -1))
+    assert p is not None
+    target = [[-1, 0, 0], [0, 1, 0], [0, 0, -1]]
+    assert conjugate_form((1, -1, -1), [list(c) for c in p]) == target

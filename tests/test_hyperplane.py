@@ -7,11 +7,6 @@ import pytest
 from chowkit import hyperplane
 from chowkit.exact import IntMatrix, Poly, det_exact
 from chowkit.hyperplane import (
-    CodimMismatchError,
-    IndexOutOfRangeError,
-    NotSelfDualError,
-    RankMismatchError,
-    TopCodimError,
     basis_certificate,
     c3_twist_residual,
     format_cycle,
@@ -104,7 +99,7 @@ def test_hyperplane_mul_fundamental():
 
 
 def test_hyperplane_mul_top_degree_rejected():
-    with pytest.raises(TopCodimError):
+    with pytest.raises(ValueError, match="no room above the top degree"):
         hyperplane_mul(point_class())
 
 
@@ -145,7 +140,7 @@ def test_gram_singleton_and_empty():
 
 
 def test_pairing_codim_mismatch():
-    with pytest.raises(CodimMismatchError):
+    with pytest.raises(ValueError, match="codimensions must sum to 8"):
         intersection_pairing(xcls(1, (1,)), xcls(1, (1,)))
 
 
@@ -190,9 +185,9 @@ def test_cycle_table_spot_checks():
 
 
 def test_cycle_index_range():
-    with pytest.raises(IndexOutOfRangeError):
+    with pytest.raises(ValueError, match=r"rational cycles are numbered 1\.\.5"):
         rational_cycle(0)
-    with pytest.raises(IndexOutOfRangeError):
+    with pytest.raises(ValueError, match=r"rational cycles are numbered 1\.\.5"):
         rational_cycle(6)
 
 
@@ -238,7 +233,7 @@ def test_tate_iso_full_collection():
 
 
 def test_tate_iso_rejects_asymmetric_multiset():
-    with pytest.raises(NotSelfDualError):
+    with pytest.raises(ValueError, match="count at codim 0 differs from count at 8"):
         tate_iso_check([(0, fundamental_class())], {2})
 
 
@@ -267,7 +262,7 @@ def test_scaled_generator_is_not_a_basis():
 
 
 def test_basis_certificate_rank_mismatch():
-    with pytest.raises(RankMismatchError):
+    with pytest.raises(ValueError, match="need 2 classes at codim 2, got 1"):
         basis_certificate([xcls(2, (2,))], 2)
 
 

@@ -1,13 +1,12 @@
 """Symbolic spectral-sequence pages, rewrites and assembled tables."""
 
+import re
+
 import pytest
 
 from chowkit.spectral import (
     E2Page,
-    HigherDifferentialError,
     NZ,
-    UnresolvableDifferentialError,
-    WeightOutOfRangeError,
     Z,
     ZERO,
     apply_d2,
@@ -22,7 +21,6 @@ from chowkit.spectral import (
     render_group,
     weight_table,
 )
-from chowkit.tate import NotPrimeError
 
 
 # -- group expressions ---------------------------------------------------------
@@ -102,9 +100,9 @@ def test_support_is_within_weight():
 
 
 def test_build_input_validation():
-    with pytest.raises(WeightOutOfRangeError):
+    with pytest.raises(ValueError, match=r"coefficient tables cover weights 1\.\.3"):
         build_e2(3, 4)
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(ValueError, match="the engine is stated for prime degree"):
         build_e2(4, 2)
 
 
@@ -133,7 +131,7 @@ def test_zero_differential_passthrough():
 def test_unresolvable_differential():
     synthetic = E2Page(3, 2, {(0, 2): cyclic(3), (2, 1): cyclic(3)},
                        (Differential((0, 2), (2, 1), 1, "c"),))
-    with pytest.raises(UnresolvableDifferentialError):
+    with pytest.raises(ValueError, match="no kernel rule for source Z/3"):
         apply_d2(synthetic)
 
 
@@ -150,7 +148,10 @@ def _one_arrow(source, target):
     (Z, NZ),                                                 # nZ target
 ])
 def test_rewrite_rules_refuse_other_shapes(source, target):
-    with pytest.raises(UnresolvableDifferentialError):
+    # The refusal names the group that has no rule.
+    refusal = (f"no kernel rule for source {re.escape(render_group(source))}$"
+               f"|no cokernel rule for target {re.escape(render_group(target))}$")
+    with pytest.raises(ValueError, match=refusal):
         apply_d2(_one_arrow(source, target))
 
 
@@ -201,7 +202,7 @@ def test_round_trip_idempotence():
 
 def test_higher_differential_guard():
     synthetic = E2Page(3, 3, {(0, 3): Z, (3, 1): cyclic(3)}, ())
-    with pytest.raises(HigherDifferentialError):
+    with pytest.raises(ValueError, match=r"support admits a d_3 arrow from \(0, 3\) to \(3, 1\)"):
         assemble(synthetic)
 
 

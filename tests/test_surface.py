@@ -6,9 +6,13 @@ functions the benchmark's tracer wraps; the CLI's subcommand handlers are
 loaded by its dispatch table.  A public method of a public class must be
 loaded as an attribute of that name somewhere outside its own body, or be one
 of the ``Poly`` methods the tracer wraps; the scan goes by name alone.
+
+A refusal of input is a plain ``ValueError``: the only exception class the
+package defines is ``exact.InexactDivisionError``.
 """
 
 import ast
+import builtins
 import importlib.util
 from collections import Counter
 from pathlib import Path
@@ -99,3 +103,28 @@ def test_every_public_name_has_a_caller():
 
 def test_every_public_method_has_a_caller():
     assert method_orphans() == []
+
+
+def exception_classes():
+    """module.Class for every class in ``src/chowkit``, nested ones included,
+    that derives from a built-in exception directly or through other classes
+    of the package; a base is matched by its name alone."""
+    classes = {(path.stem, node.name): {base.id if isinstance(base, ast.Name) else base.attr
+                                        for base in node.bases
+                                        if isinstance(base, (ast.Name, ast.Attribute))}
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)}
+    known = {name for name, value in vars(builtins).items()
+             if isinstance(value, type) and issubclass(value, BaseException)}
+    found = set()
+    while True:
+        grown = {key for key, bases in classes.items() if bases & known}
+        if grown == found:
+            return sorted(f"{stem}.{name}" for stem, name in found)
+        found = grown
+        known |= {name for _, name in found}
+
+
+def test_the_only_exception_class_is_inexact_division():
+    assert exception_classes() == ["exact.InexactDivisionError"]
