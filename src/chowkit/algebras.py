@@ -33,7 +33,7 @@ class QuatAlgebra(Record):
     def __post_init__(self):
         for name, v in (("a", self.a), ("b", self.b)):
             _check_scalar(v, f"structure constant {name}")
-            if isinstance(v, (int, Fraction)) and v == 0:
+            if v == 0:
                 raise ValueError(f"structure constant {name} must be nonzero")
 
     def element(self, x=0, y=0, z=0, w=0) -> "QuatElement":
@@ -78,27 +78,6 @@ class QuatElement(Record):
         return QuatElement._trusted(self.algebra, self.x + other.x, self.y + other.y,
                                     self.z + other.z, self.w + other.w)
 
-    def __sub__(self, other: "QuatElement") -> "QuatElement":
-        self._same(other)
-        return QuatElement._trusted(self.algebra, self.x - other.x, self.y - other.y,
-                                    self.z - other.z, self.w - other.w)
-
-    def __neg__(self) -> "QuatElement":
-        return QuatElement._trusted(self.algebra, -self.x, -self.y, -self.z, -self.w)
-
-    def __mul__(self, other):
-        if isinstance(other, QuatElement):
-            return quat_mul(self, other)
-        return QuatElement(self.algebra, self.x * other, self.y * other,
-                           self.z * other, self.w * other)
-
-    def __rmul__(self, other):
-        # Scalars commute with everything.
-        return self.__mul__(other)
-
-    def __repr__(self):
-        return f"QuatElement(x={self.x}, y={self.y}, z={self.z}, w={self.w})"
-
 
 def quat_mul(u: QuatElement, v: QuatElement) -> QuatElement:
     """Product under i*i = a, j*j = b, i*j = -j*i = k."""
@@ -122,10 +101,9 @@ def nrd(u: QuatElement):
     return x * x - a * y * y - b * z * z + a * b * w * w
 
 
-def symbolic_quaternion(prefix: str, algebra: QuatAlgebra | None = None) -> QuatElement:
+def symbolic_quaternion(prefix: str, algebra: QuatAlgebra) -> QuatElement:
     """Quaternion with fresh polynomial components x<prefix>, y<prefix>, ..."""
-    alg = algebra if algebra is not None else QuatAlgebra.symbolic()
-    return alg.element(*(Poly.var(n + prefix) for n in "xyzw"))
+    return algebra.element(*(Poly.var(n + prefix) for n in "xyzw"))
 
 
 # -- exact linear algebra over F_p and Q -----------------------------------
@@ -148,7 +126,6 @@ class SplitAlgebra(Record):
     """M_n(F) for F a prime field F_p (p prime) or the rationals (p = None)."""
 
     __slots__ = ("n", "p")
-    _defaults = {"p": None}
 
     def __post_init__(self):
         if self.n < 1:

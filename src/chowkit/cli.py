@@ -423,11 +423,14 @@ class _Param(Record):
     """
 
     __slots__ = ("name", "kind", "dest", "multiple", "help")
-    _defaults = {"dest": None, "multiple": False, "help": ""}
 
 
-_JSON = _Param("--json", bool, "as_json", help="emit a JSON document")
-_HELP = _Param("--help", bool, help="Show this message and exit.")
+def _param(name, kind, dest=None, multiple=False, help=""):
+    return _Param(name, kind, dest, multiple, help)
+
+
+_JSON = _param("--json", bool, "as_json", help="emit a JSON document")
+_HELP = _param("--help", bool, help="Show this message and exit.")
 
 # The help line of each group; the empty path is `chowkit` itself.
 GROUPS = {
@@ -442,24 +445,24 @@ GROUPS = {
 COMMANDS = {
     ("verify", "all"): (verify_all, ()),
     ("schubert", "mul"): (schubert_mul, (
-        _Param("first", str), _Param("second", str),
-        _Param("--xring", bool,
+        _param("first", str), _param("second", str),
+        _param("--xring", bool,
                help="multiply inside the hyperplane-section ring (one factor must be (1))"))),
-    ("xring", "mul-h"): (xring_mul_h, (_Param("label", str),)),
+    ("xring", "mul-h"): (xring_mul_h, (_param("label", str),)),
     ("gram",): (gram_command, ()),
     ("alphas",): (alphas_command, ()),
     ("bases",): (bases_command, ()),
     ("tateiso",): (tateiso_command, (
-        _Param("--invert", int, "inverted", multiple=True, help="prime to invert (repeatable)"),)),
-    ("glmotive",): (glmotive_command, (_Param("--n", int),)),
-    ("d2",): (d2_command, (_Param("--n", int), _Param("--q", int))),
-    ("ss",): (ss_command, (_Param("--n", int), _Param("--weight", int))),
+        _param("--invert", int, "inverted", multiple=True, help="prime to invert (repeatable)"),)),
+    ("glmotive",): (glmotive_command, (_param("--n", int),)),
+    ("d2",): (d2_command, (_param("--n", int), _param("--q", int))),
+    ("ss",): (ss_command, (_param("--n", int), _param("--weight", int))),
     ("quadric",): (quadric_command, ()),
-    ("plucker",): (plucker_command, (_Param("--a", int), _Param("--b", int))),
-    ("charts",): (charts_command, (_Param("--degree", ("2", "3")),)),
-    ("ideals",): (ideals_command, (_Param("--n", int), _Param("--q", int), _Param("--k", int))),
+    ("plucker",): (plucker_command, (_param("--a", int), _param("--b", int))),
+    ("charts",): (charts_command, (_param("--degree", ("2", "3")),)),
+    ("ideals",): (ideals_command, (_param("--n", int), _param("--q", int), _param("--k", int))),
     ("witt",): (witt_command, (
-        _Param("--form", str, help="comma-separated diagonal entries, e.g. 1,-2,-3,6,-1"),)),
+        _param("--form", str, help="comma-separated diagonal entries, e.g. 1,-2,-3,6,-1"),)),
 }
 
 

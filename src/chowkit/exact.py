@@ -24,35 +24,27 @@ class InexactDivisionError(ArithmeticError):
 class Record:
     """An immutable value with named fields: the package's one pattern for them.
 
-    A subclass names its fields in ``__slots__`` and may give defaults for
-    some in ``_defaults``.  The constructor takes the fields by position or by
-    keyword, stores them, then calls ``__post_init__``, where a subclass
-    checks them; ``_trusted`` stores values known to pass those checks without
-    calling it.  Records are equal when they have the same class and equal
-    fields, hash as the tuple of their fields and print as
+    A subclass names its fields in ``__slots__``.  The constructor takes every
+    field by position, stores them, then calls ``__post_init__``, where a
+    subclass checks them; ``_trusted`` stores values known to pass those checks
+    without calling it.  Records are equal when they have the same class and
+    equal fields, hash as the tuple of their fields and print as
     ``Name(field=value, ...)``; assigning or deleting an attribute raises
     AttributeError.  That is a frozen data class, built without the standard
     module for them, whose import loads ``inspect`` in every process.
     """
 
     __slots__ = ()
-    _defaults = {}
 
     def __init_subclass__(cls):
         # _values is the tuple of the fields; attrgetter of one name gives the lone value.
         get = attrgetter(*cls.__slots__)
         cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args):
         names = self.__slots__
-        if len(args) != len(names) or kwargs:
-            if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]):
-                raise TypeError(f"{type(self).__name__}() takes the fields {names}")
-            given = {**self._defaults, **dict(zip(names, args)), **kwargs}
-            missing = [name for name in names if name not in given]
-            if missing:
-                raise TypeError(f"{type(self).__name__}() is missing the fields {missing}")
-            args = [given[name] for name in names]
+        if len(args) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {names}")
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
         self.__post_init__()

@@ -105,9 +105,7 @@ def gram_matrix(classes) -> IntMatrix:
     for c in classes:
         if section_codim(c.codim) != MIDDLE:
             raise ValueError("Gram matrix is defined for middle-degree classes")
-    size = len(classes)
-    entries = [intersection_pairing(a, b) for a in classes for b in classes]
-    return IntMatrix(size, size, entries)
+    return pairing_matrix([(MIDDLE, c) for c in classes])
 
 
 # -- rational cycles on P^2 x X ----------------------------------------------

@@ -95,7 +95,6 @@ class Differential(Record):
 
 class E2Page(Record):
     __slots__ = ("n", "weight", "cells", "differentials")
-    _defaults = {"differentials": ()}
 
     def __hash__(self):
         # cells stays a dict, so the field-tuple hash would fail on it.
@@ -164,7 +163,7 @@ def build_e2(n: int, j: int, unit: str = "c") -> E2Page:
         matrix = d2_matrix(n, q - 1)
         row = matrix.row_indices.index(tgt[0][0])
         col = matrix.col_indices.index(src[0][0])
-        factor = matrix.entry(row, col)
+        factor = matrix.entries[row][col]
         if factor % n:
             diffs.append(Differential((p, q), target, factor, unit))
     return E2Page(n, j, cells, tuple(diffs))

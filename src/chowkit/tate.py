@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, takewhile
+from itertools import takewhile
 from math import comb, prod
 
 from .exact import Poly, Record, is_prime
@@ -35,16 +35,15 @@ D2_MAX_DEGREE = 7
 # -- multi-indices ------------------------------------------------------------
 
 
-def enumerate_multi_indices(n: int, weight: int | None = None):
-    """Strictly increasing subsets of {1..n}, by length then lexicographic.
+def enumerate_multi_indices(n: int, weight: int):
+    """Strictly increasing subsets of {1..n} with element sum equal to weight,
+    by length then lexicographic.
 
-    With a weight filter, only subsets with element sum equal to weight,
-    generated directly as the partitions of weight into distinct parts <= n.
+    They are generated directly as the partitions of weight into distinct
+    parts <= n.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
-    if weight is None:
-        return [combo for r in range(n + 1) for combo in combinations(range(1, n + 1), r)]
     out = []
 
     def extend(prefix, low, left, rest):
@@ -163,9 +162,6 @@ class D2Matrix(Record):
     """
 
     __slots__ = ("n", "q", "row_indices", "col_indices", "entries")
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
 
     def to_dict(self) -> dict:
         """The matrix as a JSON-ready dict with its index labels and unit."""

@@ -635,3 +635,12 @@ def test_records_survive_pickle_and_deepcopy(record):
     for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
         assert type(copied) is type(record)
         assert copied == record
+
+
+def test_records_take_their_fields_by_position_only():
+    with pytest.raises(TypeError):
+        QuatAlgebra(a=2, b=3)
+    with pytest.raises(TypeError):
+        QuatAlgebra(2, b=3)
+    with pytest.raises(TypeError, match=r"takes the fields \('n', 'p'\)"):
+        SplitAlgebra(2)
