@@ -105,16 +105,9 @@ def test_algebra_mismatch_rejected(alg):
 def test_char_zero_scalars_only():
     with pytest.raises(TypeError):
         QuatAlgebra(1.5, 2)
-    with pytest.raises(ValueError):
-        QuatAlgebra(0, 3)
-
-
-@pytest.mark.parametrize("a, b, name", [(0, 3, "a"), (Fraction(0), 3, "a"),
-                                        (Poly.zero(), 3, "a"), (2, Poly.zero(), "b")],
-                         ids=["int", "Fraction", "Poly-a", "Poly-b"])
-def test_zero_structure_constant_rejected(a, b, name):
-    with pytest.raises(ValueError, match=f"structure constant {name} must be nonzero"):
-        QuatAlgebra(a, b)
+    for a, b, name in ((0, 3, "a"), (Poly.zero(), 3, "a"), (2, Poly.zero(), "b")):
+        with pytest.raises(ValueError, match=f"structure constant {name} must be nonzero"):
+            QuatAlgebra(a, b)
 
 
 @pytest.mark.parametrize("algebra", [QuatAlgebra(2, 3), QuatAlgebra(Fraction(1, 2), -5),
