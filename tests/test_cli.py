@@ -161,7 +161,7 @@ def test_group_without_a_subcommand_is_a_usage_error(args):
 
 @pytest.mark.parametrize("args", [("--help",), ("verify", "--help"), ("d2", "--help")])
 def test_help_exits_zero_on_stdout(args):
-    # Only the stream and the exit code are held; the help wording is not pinned.
+    # The stream and the exit code; golden/cli.jsonl pins the text of every help.
     result = run(*args)
     assert result.exit_code == 0
     assert result.stdout_bytes.decode().startswith("Usage:")
