@@ -7,7 +7,8 @@ usage and help text around it, is not pinned.
 
 Under pytest each line replays in process through `cli_runner.invoke`.  Run as
 a script, `python tests/test_cli_manifest.py` replays each line against the
-installed `chowkit` console script, one process per run.
+installed `chowkit` console script, one process per run; the script needs
+only the standard library.
 
 A deliberate output change edits its one line, with the digest taken from
 `chowkit <args> | sha256sum`.
@@ -20,10 +21,6 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
-
-from cli_runner import invoke
 
 MANIFEST = Path(__file__).parent / "golden" / "cli.jsonl"
 RUNS = [json.loads(line) for line in MANIFEST.read_text().splitlines()]
@@ -49,8 +46,15 @@ def test_manifest_is_well_formed():
         assert (run["error"] is not None) == (run["exit"] == 2), run
 
 
-@pytest.mark.parametrize("run", RUNS, ids=lambda run: shlex.join(run["args"]))
+def pytest_generate_tests(metafunc):
+    # pytest's hook, so that the script needs no pytest: one test per run.
+    if metafunc.function is test_pinned_run:
+        metafunc.parametrize("run", RUNS, ids=[shlex.join(run["args"]) for run in RUNS])
+
+
 def test_pinned_run(run):
+    from cli_runner import invoke
+
     result = invoke(run["args"])
     assert outcome(result.exit_code, result.stdout_bytes, result.stderr) == pinned(run)
 
