@@ -185,21 +185,28 @@ def command_words(path) -> list:
 STRAYS = [["--"], ["-"], ["-x"], ["--bogus"], ["extra"], ["--help=1"]]
 
 
-@st.composite
-def argument_lists(draw):
-    """A chowkit argument list: each parameter of a command given once or
-    left out, as `--opt value` or `--opt=value`; then up to three more
-    parameters, misspelled option names or stray words such as `--`; all in
-    any order."""
-    path = draw(st.sampled_from(PATHS))
+@functools.cache
+def path_strategies(path):
+    """For path: its parameters each given once or left out, up to three
+    more parameters, misspelled option names or stray words, and its words."""
     params = TREE[path] + (flag("--json"),)
-    items = [draw(st.sampled_from(spellings(param))) for param in params]
     extras = [spelling for param in params for spelling in spellings(param) if spelling]
     extras += [[name] for param in params if param.kind != "arg"
                for name in misspellings(param.name)]
-    items += draw(st.lists(st.sampled_from(extras + STRAYS), max_size=3))
+    return (st.tuples(*(st.sampled_from(spellings(param)) for param in params)),
+            st.lists(st.sampled_from(extras + STRAYS), max_size=3),
+            st.sampled_from(command_words(path)))
+
+
+@st.composite
+def argument_lists(draw):
+    """A chowkit argument list: a command's parameters given once or left
+    out, as `--opt value` or `--opt=value`, and up to three more parameters,
+    misspelled option names or stray words such as `--`; all in any order."""
+    once, extras, words = path_strategies(draw(st.sampled_from(PATHS)))
+    items = [*draw(once), *draw(extras)]
     items = permuted(items, draw(st.integers(0, math.factorial(len(items)) - 1)))
-    args = draw(st.sampled_from(command_words(path))) + [token for item in items for token in item]
+    args = draw(words) + [token for item in items for token in item]
     # A bare --help prints the help, which golden/cli.jsonl pins.
     return [token for token in args if token != "--help"]
 
