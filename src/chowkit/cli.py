@@ -5,14 +5,19 @@ document with --json) and exits 0 on pass/info, 1 on a failed verification,
 2 on usage errors.  Timing is deliberately kept out of the output so that
 identical runs produce identical bytes.
 
+A handler takes its subcommand's parameters as keywords and returns its
+report, (ok, payload) or (ok, payload, text lines), where ok is True (pass),
+False (fail) or None (info).  main prints it with the words, the inputs and
+the --json it parsed; no handler prints or exits.
+
 A usage error is any ValueError: the parser's, or the library's refusal of an
 input outside its hypotheses.  main alone turns it into exit 2, with the
 message on stderr.
 
 The command line is read by a small table-driven parser at the end of this
 module, on the standard library alone.  It keeps click's grammar and the
-wording of its usage errors, which the pinned runs in tests/golden/cli.jsonl
-hold.
+wording of its usage errors: tests/test_cli_click_oracle.py compares it with
+click on generated argument lists, and tests/golden/cli.jsonl pins its runs.
 """
 
 from __future__ import annotations
@@ -38,14 +43,21 @@ from .tate import D2_MAX_DEGREE, consistency_report, d2_matrix, d2_matrix_from_c
     gl_tate_pattern, slice_consistency, max_weight
 
 
-def _report(command: str, inputs: dict, status: str, payload: dict, as_json: bool,
-            text=None):
+def _status(ok) -> str:
+    return "info" if ok is None else "pass" if ok else "fail"
+
+
+def _report(command: str, inputs: dict, as_json: bool, ok, payload: dict, text=None):
     """Print one report and exit: 0 on pass or info, 1 on fail.
 
     With --json the report is one JSON document with the keys command, inputs,
     status and payload.  Otherwise it is the command's own text lines if it
-    gives them, else a generic listing of the inputs and the payload.
+    gives them, else a generic listing of the inputs and the payload.  A
+    repeatable option's values show sorted, each once.
     """
+    status = _status(ok)
+    inputs = {key: sorted(set(value)) if type(value) is tuple else value
+              for key, value in inputs.items()}
     if as_json:
         doc = {"command": command, "inputs": inputs, "status": status, "payload": payload}
         print(json.dumps(doc, sort_keys=True, default=str))
@@ -56,7 +68,7 @@ def _report(command: str, inputs: dict, status: str, payload: dict, as_json: boo
             text += [f"  {key}: {json.dumps(value, sort_keys=True, default=str)}"
                      for key, value in sorted(payload.items())]
         print("\n".join(text))
-    sys.exit(0 if status in ("pass", "info") else 1)
+    sys.exit(1 if ok is False else 0)
 
 
 # -- the verification battery ---------------------------------------------------
@@ -84,6 +96,7 @@ def _check_pieri_schur_agreement():
 
 
 def _check_gram_certificate():
+    """Gram matrix of the three middle-degree classes."""
     matrix = gram_matrix(middle_classes())
     expected = IntMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
     det = det_exact(matrix)
@@ -96,23 +109,17 @@ def _check_gram_certificate():
 
 
 def _check_cycle_recursion():
-    results = {}
-    ok = True
+    steps = {}
     for i in range(1, 5):
         holds, residual = verify_cycle_recursion(i)
-        results[str(i)] = {"holds": holds, "residual": format_cycle(residual)}
-        ok = ok and holds
-    return ok, {"steps": results}
+        steps[str(i)] = {"holds": holds, "residual": format_cycle(residual)}
+    return all(step["holds"] for step in steps.values()), {"steps": steps}
 
 
 def _check_basis_certificates():
-    results = {}
-    ok = True
-    for codim, classes in sorted(reference_bases().items()):
-        good = basis_certificate(classes, codim)
-        results[str(codim)] = good
-        ok = ok and good
-    return ok, {"codims": results}
+    codims = {str(codim): basis_certificate(classes, codim)
+              for codim, classes in sorted(reference_bases().items())}
+    return all(codims.values()), {"codims": codims}
 
 
 def _check_chern_twist_identity():
@@ -120,6 +127,7 @@ def _check_chern_twist_identity():
 
 
 def _check_quadric_identity():
+    """Symbolic and sampled verification of the embedding quadric identity."""
     symbolic = verify_quadric_identity()
     sampled = quadric_identity_samples(200)
     return symbolic and sampled, {"symbolic_zero": symbolic, "samples": 200,
@@ -127,15 +135,12 @@ def _check_quadric_identity():
 
 
 def _check_chart_sweep():
-    rows = {}
-    for pivots, cls in classify_all_charts(3).items():
-        rows[",".join(map(str, pivots))] = cls.kind
+    rows = {",".join(map(str, pivots)): cls.kind for pivots, cls in classify_all_charts(3).items()}
     eq = chart_equation((1, 2, 4))
     expected = Poly.var("a33") - (Poly.var("a51") * Poly.var("a62")
                                   - Poly.var("a52") * Poly.var("a61"))
     verbatim = eq == expected
-    counts = {"SL": sum(1 for k in rows.values() if k == "SL"),
-              "graph": sum(1 for k in rows.values() if k == "graph")}
+    counts = {kind: list(rows.values()).count(kind) for kind in ("SL", "graph")}
     ok = len(rows) == 20 and verbatim
     return ok, {"charts": rows, "counts": counts,
                 "chart_124_equation": str(eq), "chart_124_verbatim": verbatim}
@@ -161,9 +166,7 @@ def _check_d2_oracle():
     checked = 0
     for n in (2, 3, 5):
         for q in range(1, max_weight(n) + 1):
-            closed = d2_matrix(n, q)
-            derived = d2_matrix_from_chern(n, q)
-            if closed.entries != derived.entries:
+            if d2_matrix(n, q).entries != d2_matrix_from_chern(n, q).entries:
                 return False, {"counterexample": {"n": n, "q": q}}
             checked += 1
     return True, {"matrices_checked": checked}
@@ -228,33 +231,27 @@ VERIFICATIONS = (
 # -- subcommands ------------------------------------------------------------------
 
 
-def verify_all(as_json):
+def verify_all():
     """Run the full verification battery; exit 0 only if everything passes."""
     checks = []
-    for name, fn in VERIFICATIONS:
-        ok, payload = fn()
-        checks.append({"name": name, "status": "pass" if ok else "fail",
-                       "detail": payload})
+    for name, check in VERIFICATIONS:
+        ok, detail = check()
+        checks.append({"name": name, "status": _status(ok), "detail": detail})
     failed = [check["name"] for check in checks if check["status"] == "fail"]
-    status = "pass" if not failed else "fail"
     lines = [f"[{check['status']}] {check['name']}" for check in checks]
-    lines.append(f"result: {status} ({len(checks) - len(failed)}/{len(checks)} passed)")
-    _report("verify all", {}, status, {"checks": checks, "failed": failed}, as_json, lines)
+    lines.append(f"result: {_status(not failed)} ({len(checks) - len(failed)}/{len(checks)} passed)")
+    return not failed, {"checks": checks, "failed": failed}, lines
 
 
-def schubert_mul(first, second, xring, as_json):
+def schubert_mul(first, second, xring):
     """Product of two Schubert classes, e.g. mul "(2,2)" "(1)"."""
-    lam = parse_partition(first)
-    mu = parse_partition(second)
-    if xring:
-        if (1,) not in (lam, mu):
-            raise ValueError("--xring multiplies by the hyperplane: one factor must be (1)")
-        payload = _mul_h(lam if mu == (1,) else mu)
-    else:
+    lam, mu = parse_partition(first), parse_partition(second)
+    if not xring:
         result = schur_product(GrChowClass.schubert(3, 6, lam), GrChowClass.schubert(3, 6, mu))
-        payload = {"result": str(result), "codim": result.codim}
-    _report("schubert mul", {"first": first, "second": second, "xring": xring}, "info",
-            payload, as_json)
+        return None, {"result": str(result), "codim": result.codim}
+    if (1,) not in (lam, mu):
+        raise ValueError("--xring multiplies by the hyperplane: one factor must be (1)")
+    return None, _mul_h(lam if mu == (1,) else mu)
 
 
 def _mul_h(parts) -> dict:
@@ -267,65 +264,54 @@ def _mul_h(parts) -> dict:
     return {"result": str(result), "codim": section_codim(result.codim)}
 
 
-def xring_mul_h(label, as_json):
+def xring_mul_h(label):
     """Multiply a section class by the hyperplane class."""
-    _report("xring mul-h", {"label": label}, "info", _mul_h(parse_partition(label)), as_json)
+    return None, _mul_h(parse_partition(label))
 
 
-def gram_command(as_json):
-    """Gram matrix of the three middle-degree classes."""
-    ok, payload = _check_gram_certificate()
-    _report("gram", {}, "pass" if ok else "fail", payload, as_json)
-
-
-def alphas_command(as_json):
+def alphas_command():
     """List the five rational cycles and verify their mod-3 recursion."""
     ok, steps = _check_cycle_recursion()
     cycles = {str(i): format_cycle(rational_cycle(i)) for i in range(1, 6)}
-    _report("alphas", {}, "pass" if ok else "fail", {"cycles": cycles, **steps}, as_json)
+    return ok, {"cycles": cycles, **steps}
 
 
-def bases_command(as_json):
+def bases_command():
     """Unimodularity certificates for the six reference bases."""
     ok, payload = _check_basis_certificates()
     lists = {str(c): [str(cls) for cls in classes]
              for c, classes in sorted(reference_bases().items())}
-    _report("bases", {}, "pass" if ok else "fail", {"bases": lists, **payload}, as_json)
+    return ok, {"bases": lists, **payload}
 
 
-def tateiso_command(inverted, as_json):
+def tateiso_command(invert):
     """Invertibility of the pairing matrix of the standard collection."""
-    primes = set(inverted)
     classes = standard_collection()
     matrix = pairing_matrix(classes)
     det = det_exact(matrix)
-    ok = invertible_over_localization(matrix, primes)
+    ok = invertible_over_localization(matrix, set(invert))
     collection = [{"codim": c, "class": str(cls)} for c, cls in classes]
-    _report("tateiso", {"invert": sorted(primes)}, "pass" if ok else "fail",
-            {"invertible": ok, "determinant": det,
-             "collection_size": len(collection), "collection": collection}, as_json)
+    return ok, {"invertible": ok, "determinant": det,
+                "collection_size": len(collection), "collection": collection}
 
 
-def glmotive_command(n, as_json):
+def glmotive_command(n):
     """Tate pattern of GL_n and its total-count identity."""
     pattern = gl_tate_pattern(n)
-    ok = pattern.total() == 2 ** n
-    _report("glmotive", {"n": n}, "pass" if ok else "fail",
-            {"pattern": _pattern_json(pattern), "total": pattern.total()}, as_json)
+    return pattern.total() == 2 ** n, {"pattern": _pattern_json(pattern),
+                                        "total": pattern.total()}
 
 
-def d2_command(n, q, as_json):
+def d2_command(n, q):
     """The second-differential matrix between twists q and q+1."""
     if n > D2_MAX_DEGREE:
         raise ValueError(f"degree must be at most {D2_MAX_DEGREE}")
     matrix = d2_matrix(n, q)
-    oracle = d2_matrix_from_chern(n, q)
-    ok = matrix.entries == oracle.entries
-    _report("d2", {"n": n, "q": q}, "pass" if ok else "fail",
-            {"matrix": matrix.to_dict(), "oracle_agrees": ok}, as_json)
+    ok = matrix.entries == d2_matrix_from_chern(n, q).entries
+    return ok, {"matrix": matrix.to_dict(), "oracle_agrees": ok}
 
 
-def ss_command(n, weight, as_json):
+def ss_command(n, weight):
     """Assembled spectral-sequence table for one weight."""
     table = weight_table(n, weight)
     rendered = {str(p): render_group(g) for p, g in sorted(table.items())}
@@ -333,33 +319,21 @@ def ss_command(n, weight, as_json):
     lines = [f"[info] ss (n={n}, weight={weight})"]
     lines += [f"  p={p:<{width}}  {group}" for p, group in rendered.items()]
     lines.append(f"  note: {SPLIT_EXTENSION_NOTE}")
-    _report("ss", {"n": n, "weight": weight}, "info",
-            {"table": rendered, "assumptions": [SPLIT_EXTENSION_NOTE]}, as_json, lines)
+    return None, {"table": rendered, "assumptions": [SPLIT_EXTENSION_NOTE]}, lines
 
 
-def quadric_command(as_json):
-    """Symbolic and sampled verification of the embedding quadric identity."""
-    ok, payload = _check_quadric_identity()
-    _report("quadric", {}, "pass" if ok else "fail", payload, as_json)
-
-
-def plucker_command(a, b, as_json):
+def plucker_command(a, b):
     """Pluecker embedding of a generic pair for numeric structure constants."""
     if a == 0 or b == 0:
         raise ValueError("structure constants must be nonzero")
     alg = QuatAlgebra(a, b)
-    a1 = symbolic_quaternion("1", alg)
-    a2 = symbolic_quaternion("2", alg)
-    point = plucker_embed(a1, a2)
-    residual = point.norms[0] * point.norms[1] - quadric_form_value(alg, point.u)
-    ok = residual.is_zero
-    _report("plucker", {"a": a, "b": b}, "pass" if ok else "fail",
-            {"u": [str(u) for u in point.u], "identity_holds": ok}, as_json)
+    point = plucker_embed(symbolic_quaternion("1", alg), symbolic_quaternion("2", alg))
+    ok = (point.norms[0] * point.norms[1] - quadric_form_value(alg, point.u)).is_zero
+    return ok, {"u": [str(u) for u in point.u], "identity_holds": ok}
 
 
-def charts_command(degree, as_json):
+def charts_command(degree):
     """Classify every chart of the block-determinant hyperplane."""
-    degree = int(degree)
     table = classify_all_charts(degree)
     expected = all_charts(degree)
     rows = [{"pivots": list(pivots), "kind": cls.kind, "pivot_variable": cls.pivot_variable,
@@ -368,39 +342,37 @@ def charts_command(degree, as_json):
     # Every chart of the degree is classified, and nothing else is.
     mismatch = {"missing": [list(p) for p in expected if p not in table],
                 "extra": [list(p) for p in sorted(set(table) - set(expected))]}
-    status = "fail" if any(mismatch.values()) else "pass"
-    lines = [f"[{status}] charts (degree={degree}, {len(rows)} charts)"]
+    ok = not any(mismatch.values())
+    lines = [f"[{_status(ok)}] charts (degree={degree}, {len(rows)} charts)"]
     for row in rows:
         pivots = ",".join(str(p) for p in row["pivots"])
         pivot_var = row["pivot_variable"] or "-"
         lines.append(f"  {{{pivots}}}  {row['kind']:<5}  pivot={pivot_var:<4}  {row['equation']}")
-    if status == "fail":
+    if not ok:
         payload.update(mismatch)
         lines += [f"  {key}: " + " ".join("{" + ",".join(map(str, p)) + "}" for p in charts)
                   for key, charts in mismatch.items() if charts]
-    _report("charts", {"degree": degree}, status, payload, as_json, lines)
+    return ok, payload, lines
 
 
-def ideals_command(n, q, k, as_json):
+def ideals_command(n, q, k):
     """Enumerate right ideals of rank k*n in M_n(F_q)."""
     count, ideals = enumerate_right_ideals(SplitAlgebra(n, q), k)
     expected = point_count(k, n, q)
-    ok = count == expected
-    _report("ideals", {"n": n, "q": q, "k": k}, "pass" if ok else "fail",
-            {"count": count, "gaussian_binomial": expected,
-             "subspaces": [[list(r) for r in ideal.subspace] for ideal in ideals]}, as_json)
+    return count == expected, {
+        "count": count, "gaussian_binomial": expected,
+        "subspaces": [[list(r) for r in ideal.subspace] for ideal in ideals]}
 
 
-def witt_command(form, as_json):
+def witt_command(form):
     """Witt decomposition of a diagonal rational quadratic form."""
     entries = [int(v) for v in form.split(",") if v.strip()]
     if not entries:
         raise ValueError("empty form")
     decomposition = witt_split(entries)
-    _report("witt", {"form": form}, "pass",
-            {"hyperbolic_planes": decomposition.planes,
-             "residual": [str(d) for d in decomposition.residual],
-             "search_exhausted": decomposition.search_exhausted}, as_json)
+    return True, {"hyperbolic_planes": decomposition.planes,
+                  "residual": [str(d) for d in decomposition.residual],
+                  "search_exhausted": decomposition.search_exhausted}
 
 
 # -- the command line -------------------------------------------------------------
@@ -416,20 +388,21 @@ class _Param(Record):
     """One parameter of a subcommand.
 
     name is "--n" for an option or a flag and "first" for a positional
-    argument.  kind is bool for a flag, str for an argument, and for an option
-    the type of its value: int, str or a tuple of the allowed words.  dest is
-    the handler's keyword when it is not the bare name.  An option is required
-    unless it is repeatable; a repeatable one gives the tuple of its values.
+    argument; without its dashes it is the handler's keyword.  kind is bool
+    for a flag, str for an argument, and for an option the type of its value:
+    int, str or a tuple of the allowed words, which are digits and give an
+    int.  An option is required unless it is repeatable; a repeatable one
+    gives the tuple of its values.
     """
 
-    __slots__ = ("name", "kind", "dest", "multiple", "help")
+    __slots__ = ("name", "kind", "multiple", "help")
 
 
-def _param(name, kind, dest=None, multiple=False, help=""):
-    return _Param(name, kind, dest, multiple, help)
+def _param(name, kind, multiple=False, help=""):
+    return _Param(name, kind, multiple, help)
 
 
-_JSON = _param("--json", bool, "as_json", help="emit a JSON document")
+_JSON = _param("--json", bool, help="emit a JSON document")
 _HELP = _param("--help", bool, help="Show this message and exit.")
 
 # The help line of each group; the empty path is `chowkit` itself.
@@ -449,15 +422,15 @@ COMMANDS = {
         _param("--xring", bool,
                help="multiply inside the hyperplane-section ring (one factor must be (1))"))),
     ("xring", "mul-h"): (xring_mul_h, (_param("label", str),)),
-    ("gram",): (gram_command, ()),
+    ("gram",): (_check_gram_certificate, ()),
     ("alphas",): (alphas_command, ()),
     ("bases",): (bases_command, ()),
     ("tateiso",): (tateiso_command, (
-        _param("--invert", int, "inverted", multiple=True, help="prime to invert (repeatable)"),)),
+        _param("--invert", int, multiple=True, help="prime to invert (repeatable)"),)),
     ("glmotive",): (glmotive_command, (_param("--n", int),)),
     ("d2",): (d2_command, (_param("--n", int), _param("--q", int))),
     ("ss",): (ss_command, (_param("--n", int), _param("--weight", int))),
-    ("quadric",): (quadric_command, ()),
+    ("quadric",): (_check_quadric_identity, ()),
     ("plucker",): (plucker_command, (_param("--a", int), _param("--b", int))),
     ("charts",): (charts_command, (_param("--degree", ("2", "3")),)),
     ("ideals",): (ideals_command, (_param("--n", int), _param("--q", int), _param("--k", int))),
@@ -516,37 +489,38 @@ def _no_such(what: str, name: str, known) -> ValueError:
 
 def _convert(param, text):
     """An option's value from its text, or click's usage error for it."""
-    if param.kind is int:
+    if param.kind is str:
+        return text
+    if isinstance(param.kind, tuple):
+        if text in param.kind:
+            return int(text)
+        problem = f"{text!r} is not one of {', '.join(map(repr, param.kind))}."
+    else:
         try:
             return int(text)
         except ValueError:
             problem = f"{text!r} is not a valid integer."
-    elif isinstance(param.kind, tuple) and text not in param.kind:
-        problem = f"{text!r} is not one of {', '.join(map(repr, param.kind))}."
-    else:
-        return text
     raise ValueError(f"Invalid value for {param.name!r}: {problem}")
 
 
 def _keywords(params, seen, positional) -> dict:
-    """The handler's keyword arguments, checked in click's order: the options
-    given, in order of first use, then the other parameters as declared."""
+    """The handler's keyword arguments in declared order, checked in click's
+    order: the options given, in order of first use, then the other
+    parameters as declared."""
     arguments = [p.name for p in params if p.name[0] != "-"]
     given = dict(zip(arguments, positional))
-    used = list(seen)
-    kwargs = {}
-    for param in sorted(params, key=lambda p: used.index(p.name) if p.name in seen else len(used)):
-        dest = param.dest or param.name.lstrip("-")
+    values = {}
+    for param in sorted(params, key=lambda p: [*seen, p.name].index(p.name)):
         if param.kind is bool:
-            kwargs[dest] = param.name in seen
+            values[param.name] = param.name in seen
         elif param.name in arguments:
             if param.name not in given:
                 raise ValueError(f"Missing argument {param.name.upper()!r}.")
-            kwargs[dest] = given[param.name]
+            values[param.name] = given[param.name]
         elif param.multiple:
-            kwargs[dest] = tuple(_convert(param, text) for text in seen.get(param.name, ()))
+            values[param.name] = tuple(_convert(param, text) for text in seen.get(param.name, ()))
         elif param.name in seen:
-            kwargs[dest] = _convert(param, seen[param.name][-1])
+            values[param.name] = _convert(param, seen[param.name][-1])
         else:
             choices = " Choose from:\n\t" + ",\n\t".join(param.kind) \
                 if isinstance(param.kind, tuple) else ""
@@ -555,7 +529,7 @@ def _keywords(params, seen, positional) -> dict:
     if extra:
         plural = "s" if len(extra) > 1 else ""
         raise ValueError(f"Got unexpected extra argument{plural} ({' '.join(extra)})")
-    return kwargs
+    return {p.name.lstrip("-"): values[p.name] for p in params}
 
 
 def _children(path) -> list:
@@ -636,7 +610,9 @@ def main(argv=None, standalone_mode=True):
         if "--help" in seen:
             _help(path, sys.stdout)
             sys.exit(0)
-        handler(**_keywords(params, seen, positional))
+        inputs = _keywords(params, seen, positional)
+        as_json = inputs.pop("json")
+        _report(" ".join(path), inputs, as_json, *handler(**inputs))
     except ValueError as err:
         print(f"Usage: {_usage(path)}\nTry '{' '.join(('chowkit', *path))} --help' for help."
               f"\n\nError: {err}", file=sys.stderr)
