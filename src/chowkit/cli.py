@@ -166,7 +166,9 @@ def _check_d2_oracle():
     checked = 0
     for n in (2, 3, 5):
         for q in range(1, max_weight(n) + 1):
-            if d2_matrix(n, q).entries != d2_matrix_from_chern(n, q).entries:
+            closed = d2_matrix(n, q)
+            derived = d2_matrix_from_chern(n, q)
+            if closed.entries != derived.entries:
                 return False, {"counterexample": {"n": n, "q": q}}
             checked += 1
     return True, {"matrices_checked": checked}

@@ -126,7 +126,7 @@ def outcome(exit_code, stdout: bytes, stderr: str):
     return exit_code, hashlib.sha256(stdout).hexdigest(), errors[0] if errors else None
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def chowkit_outcome(args: tuple):
     result = invoke(args)
     return outcome(result.exit_code, result.stdout_bytes, result.stderr)
