@@ -2,8 +2,8 @@
 
 Quaternion elements live over int, Fraction or Poly components (always
 characteristic zero; modular components are deliberately rejected).  Split
-algebras M_n(F) are handled over small prime fields, where right ideals can be
-enumerated outright, and over the rationals for rank tests.
+algebras M_n(F_p) are handled over prime fields, small enough in the
+enumeration that right ideals can be listed outright.
 """
 
 from __future__ import annotations
@@ -123,19 +123,19 @@ def rank_fractions(rows) -> int:
 
 
 class SplitAlgebra(Record):
-    """M_n(F) for F a prime field F_p (p prime) or the rationals (p = None)."""
+    """M_n(F_p) for a prime p."""
 
     __slots__ = ("n", "p")
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("degree must be positive")
-        if self.p is not None and not is_prime(self.p):
+        if not isinstance(self.p, int) or not is_prime(self.p):
             raise ValueError("base field order must be prime")
 
     def matrix(self, rows) -> tuple:
         n, p = self.n, self.p
-        rows = tuple(tuple(v if p is None else int(v) % p for v in row) for row in rows)
+        rows = tuple(tuple(int(v) % p for v in row) for row in rows)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"expected an {n}x{n} matrix")
         return rows
@@ -147,8 +147,6 @@ class SplitAlgebra(Record):
 
     def all_elements(self):
         """Every element; only sensible over a small finite field."""
-        if self.p is None:
-            raise ValueError("cannot enumerate M_n(Q)")
         cells = self.n * self.n
         for values in product(range(self.p), repeat=cells):
             yield tuple(tuple(values[r * self.n + c] for c in range(self.n))
@@ -156,15 +154,7 @@ class SplitAlgebra(Record):
 
     def mat_mul(self, x, y) -> tuple:
         cols = tuple(zip(*y))
-        p = self.p
-        if p is None:
-            return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in x)
-        return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in x)
-
-    def _rank(self, rows) -> int:
-        if self.p is None:
-            return rank_fractions(rows)
-        return rank_modp(rows, self.p)
+        return tuple(tuple(sum(map(mul, row, col)) % self.p for col in cols) for row in x)
 
 
 def independent(alg: SplitAlgebra, elements) -> bool:
@@ -177,11 +167,11 @@ def independent(alg: SplitAlgebra, elements) -> bool:
     if not elements:
         raise ValueError("independence of an empty tuple")
     stacked = [row for e in elements for row in alg.matrix(e)]
-    return alg._rank(stacked) == alg.n
+    return rank_modp(stacked, alg.p) == alg.n
 
 
 def independent_left_ideal(alg: SplitAlgebra, elements) -> bool:
-    """Second route: the left ideal generated by the tuple is all of M_n(F).
+    """Second route: the left ideal generated by the tuple is all of M_n(F_p).
 
     Spans {u * e : u a matrix unit, e in elements} and tests for dimension
     n^2; agrees with the rank criterion and serves as its cross-check.
@@ -190,7 +180,7 @@ def independent_left_ideal(alg: SplitAlgebra, elements) -> bool:
     if not elements:
         raise ValueError("independence of an empty tuple")
     rows = [row for e in elements for row in _left_translates(alg, alg.matrix(e))]
-    return alg._rank(rows) == alg.n * alg.n
+    return rank_modp(rows, alg.p) == alg.n * alg.n
 
 
 @lru_cache(maxsize=1024)
@@ -247,8 +237,6 @@ def enumerate_right_ideals(alg: SplitAlgebra, k: int):
     leave its rank unchanged.  Returns (count, ideals) with the ideals sorted
     by their subspace basis.
     """
-    if alg.p is None:
-        raise ValueError("ideal enumeration needs a finite base field")
     if alg.p > 3 or alg.n > 3:
         raise ValueError("enumeration bound is q <= 3 and n <= 3")
     if not 0 <= k <= alg.n:
@@ -264,7 +252,7 @@ def enumerate_right_ideals(alg: SplitAlgebra, k: int):
         flat = [[v for row in mat for v in row] for mat in mats]
         products = [[v for row in alg.mat_mul(mat, alg.unit_matrix(i, j)) for v in row]
                     for mat in mats for i in range(n) for j in range(n)]
-        if alg._rank(flat + products) != alg._rank(flat):
+        if rank_modp(flat + products, p) != rank_modp(flat, p):
             raise AssertionError("candidate is not a right ideal")
         ideals.append(RightIdeal(basis, tuple(mats)))
     return len(ideals), tuple(ideals)

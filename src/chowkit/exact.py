@@ -472,14 +472,6 @@ class IntMatrix:
     def to_lists(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        rows = [self.row(i) for i in range(self.rows)]
-        columns = [other.entries[j::other.cols] for j in range(other.cols)]
-        return IntMatrix._trusted(self.rows, other.cols, tuple(
-            sum(map(mul, row, col)) for row in rows for col in columns))
-
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented

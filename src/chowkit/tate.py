@@ -26,10 +26,11 @@ LAMBDA = "lam"
 GL_PATTERN_MAX_DEGREE = 64
 
 # `chowkit d2` compares the closed form with the Chern-product oracle, whose
-# cost grows steeply with the degree: over every twist, the slowest d2 run
-# takes under 5 ms at n = 7 but about 2.1 s at n = 11 (q = 51), and 10 s at
-# (13, 46), on a 2-CPU x86 host.  `chowkit d2` refuses larger degrees.
-D2_MAX_DEGREE = 7
+# cost grows steeply with the degree: at the slowest twist, both routes take
+# about 5 ms at n = 11 (q = 45), 12 ms at n = 13 (q = 55) and 0.4 s at n = 17
+# (q = 75) in a fresh process on a 2-CPU x86 host.  `chowkit d2` refuses
+# larger degrees.
+D2_MAX_DEGREE = 13
 
 
 # -- multi-indices ------------------------------------------------------------
@@ -181,20 +182,34 @@ def _closed_form_column(col) -> dict:
     return {col[:t] + (j - 1,) + col[t + 1:]: j - 1 for t, j in enumerate(col)}
 
 
-def _lambda_column(col) -> dict:
-    """Column col as {row: entry}: the lambda-linear coefficient of its Chern
-    product under the dual line bundle, expanded once for the column.
+@lru_cache(maxsize=None)
+def _dual_twist(k: int) -> tuple:
+    """chern_twist(k) in Z[lambda]/(lambda^2): its lambda^0 and lambda^1 parts,
+    each as {sorted Chern subscripts: coefficient}.  The subscripts are parsed
+    from the variable names, since Poly sorts c10 before c2."""
+    parts = (chern_twist(k).coefficient(LAMBDA, power) for power in (0, 1))
+    return tuple({tuple(sorted(int(name[1:]) for name, e in zip(p.variables, exps)
+                               for _ in range(e))): c
+                  for exps, c in p.terms.items()} for p in parts)
 
-    The dual bundle (lambda -> -lambda) negates the lambda-linear coefficient.
-    Each monomial of it is read back as the multiset of its Chern subscripts,
-    parsed from the variable names, since Poly sorts c10 before c2.
-    """
-    linear = -chern_twist_product(col).coefficient(LAMBDA, 1)
-    table = {}
-    for exps, c in linear.terms.items():
-        row = sorted(int(name[1:]) for name, e in zip(linear.variables, exps) for _ in range(e))
-        table[tuple(row)] = c
-    return table
+
+def _times(x: dict, y: dict, out: dict) -> dict:
+    """Add the product of two subscript tables into out, and return out."""
+    for i, a in x.items():
+        for j, b in y.items():
+            key = tuple(sorted(i + j))
+            out[key] = out.get(key, 0) + a * b
+    return out
+
+
+def _lambda_column(col) -> dict:
+    """Column col as {row: entry}: minus the lambda-linear coefficient of its
+    Chern product (the dual line bundle negates lambda), multiplied out in
+    Z[lambda]/(lambda^2) as (a + lambda b)(c + lambda d) = ac + lambda (ad + bc)."""
+    value, linear = {(): 1}, {}
+    for a, b in map(_dual_twist, col):
+        value, linear = _times(value, a, {}), _times(value, b, _times(linear, a, {}))
+    return {row: -c for row, c in linear.items()}
 
 
 def _d2(n: int, q: int, column) -> D2Matrix:
