@@ -173,12 +173,15 @@ def permuted(items, index) -> list:
 
 def command_words(path) -> list:
     """The words of path, mostly as they are; else one of them misspelled,
-    or a group option or `--` between the group and its subcommand."""
+    or a group option or `--` before its command or subcommand.  After `--`
+    a word that starts with "-" is read as group options once more."""
     variants = [list(path)] * 3 * (len(path) + 1)
     variants += [path[:i] + (word,) + path[i + 1:]
                  for i in range(len(path)) for word in misspellings(path[i])[:4]]
+    variants.append(("--", "-x") + path)
     if len(path) == 2:
-        variants += [[path[0], junk, path[1]] for junk in ("--", "--json", "-x", "--bogus")]
+        variants += [(path[0], *junk, path[1])
+                     for junk in (["--"], ["--json"], ["-x"], ["--bogus"], ["--", "-x"])]
     return [list(words) for words in variants]
 
 

@@ -75,6 +75,14 @@ def test_quadric_identity_samples():
     assert quadric_identity_samples(200)
 
 
+def test_quadric_identity_over_a_rational_algebra():
+    # a = 1/2: the derived coordinates divide by Fractions, not ints.
+    alg = QuatAlgebra(Fraction(1, 2), 3)
+    point = plucker_embed(alg.element(1, 2, -1, 3), alg.element(-2, 1, 5, -1))
+    assert any(isinstance(c, Fraction) for c in point.u)
+    assert point.norms[0] * point.norms[1] == quadric_form_value(alg, point.u)
+
+
 def test_quadric_identity_specializes_to_norm_form():
     alg = QuatAlgebra.symbolic()
     a1 = symbolic_quaternion("1", alg)
@@ -156,6 +164,8 @@ def test_find_isotropic():
     assert v is not None and sum(c * c * d for c, d in zip(v, [1, -1])) == 0
     assert find_isotropic([1, -2, -3]) is None      # anisotropic ternary form
     assert find_isotropic([-1, -5]) is None
+    with pytest.raises(ValueError):
+        find_isotropic([1, 0, -1])
 
 
 def test_witt_split_hyperbolic_plane():
@@ -230,6 +240,16 @@ def test_witt_split_through_a_zero_pivot(form):
     assert not w.search_exhausted
     hyperbolic = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
     assert conjugate_form(form, [list(c) for c in w.transform]) == hyperbolic
+
+
+def test_congruence_and_similarity_refuse_mismatched_or_degenerate_forms():
+    assert congruence_between([1, 2], [1, 2, 3]) is None
+    # <1, 0> is degenerate: its diagonalization meets a zero pivot with
+    # nothing to pair it with.
+    assert congruence_between([1, 0], [1, 1]) is None
+    start = time.perf_counter()
+    assert similarity_certificate([1, 2], [1, 2, 3]) is None
+    assert time.perf_counter() - start < 0.1
 
 
 def test_congruence_through_a_zero_pivot():

@@ -4,15 +4,16 @@ Any change to how ``chowkit.geometry`` searches or splits must reproduce the
 same ``find_isotropic`` and ``represent`` vectors, the same ``witt_split``
 planes, residuals and transforms, and the same ``congruence_between``
 transforms.  The forms are drawn from a fixed ``random.Random`` string; each
-function's outputs are hashed over canonical JSON of ``str(Fraction)``
-values, so a failing case names the function that changed.
+group's outputs are hashed over canonical JSON of ``str(Fraction)`` values,
+so a failing case names the group that changed.
 
 These are the vectors the bounded height search finds first.  Deciding
 isotropy by Hasse-Minkowski and constructing the vectors (ROADMAP.md, the
 item on deciding rational quadratic forms) will change them on purpose and
-re-pin these digests.  The inputs stay cheap: ``represent`` and
-``congruence_between`` run on binary forms only, because an exhausted search
-on a ternary form takes seconds.
+re-pin these digests.  The inputs stay cheap: ``represent`` runs on binary
+forms only, because an exhausted search on a ternary form takes seconds, and
+the ternary ``congruence_between`` pairs are congruent by construction, so the
+search solves each of them at a small height.
 """
 
 import hashlib
@@ -69,6 +70,15 @@ def _binary_pair(rng):
     return f, [t, f[0] * f[1] * t]
 
 
+def _ternary_pair(rng):
+    """A ternary form and a permutation of it with each entry scaled by a
+    square, which is congruent to it."""
+    f = _form(rng, 3)
+    g = [c * rng.randint(1, 3) ** 2 for c in f]
+    rng.shuffle(g)
+    return f, g
+
+
 def _represent_case(rng):
     diag = _form(rng, 2)
     roll = rng.random()
@@ -78,7 +88,8 @@ def _represent_case(rng):
 
 
 def golden_cases():
-    """{function name: [argument tuple]}."""
+    """{group name: [argument tuple]}; a new group goes last, so that the
+    draws of the groups before it stay as they are."""
     rng = random.Random("chowkit-forms-golden-v1")
     return {
         "find_isotropic": [(_form(rng, dim),) for dim in (1, 2, 3) for _ in range(8)]
@@ -87,11 +98,13 @@ def golden_cases():
         + [(_split_form(rng, dim),) for dim in (4, 5) for _ in range(6)],
         "represent": [_represent_case(rng) for _ in range(24)],
         "congruence_between": [_binary_pair(rng) for _ in range(16)],
+        "congruence_ternary": [_ternary_pair(rng) for _ in range(12)],
     }
 
 
 FUNCTIONS = {"find_isotropic": find_isotropic, "witt_split": witt_split,
-             "represent": represent, "congruence_between": congruence_between}
+             "represent": represent, "congruence_between": congruence_between,
+             "congruence_ternary": congruence_between}
 
 
 def _text(value):
@@ -119,6 +132,7 @@ def digest(cases, results) -> str:
 
 GOLDEN_SHA256 = {
     "congruence_between": "09eda7bbb4db8fd80f954e3cdfd57adb541a77cd05b325ff7fee826147ca1a07",
+    "congruence_ternary": "fd6b1eee220e1d17e0c2c2d64bc8ccd47a51476aaafa75db4aad2286177c67f3",
     "find_isotropic": "0f32b2d97d4b54c5e07062ff1aa76f9a407c496c999670d99c079aae5982dc76",
     "represent": "586e79669572be602750d6e6df2a5121975e4a85617c1c48420736c8d69341d1",
     "witt_split": "6fc6762c6c92ebdc058dea7339d27e8373447f969c047b0558093921ba1efb93",
@@ -135,6 +149,8 @@ def _value(form, vector):
 def test_form_outputs_match_golden(function):
     cases = CASES[function]
     results = [FUNCTIONS[function](*case) for case in cases]
+    if function == "congruence_ternary":
+        assert None not in results
     # witt_split and congruence_between check their own congruence certificates.
     for case, v in zip(cases, results):
         if function == "find_isotropic":
