@@ -188,11 +188,14 @@ def classify_all_charts(degree: int = 3):
 
 
 # -- exact rational linear algebra helpers ---------------------------------------
+#
+# Every vector is a column in the coordinates of the diagonal input form, which
+# is only ever evaluated through _bilinear.
 
 
-def _bilinear(gram, u, v):
-    return sum(u[i] * sum(gram[i][j] * v[j] for j in range(len(v)))
-               for i in range(len(u)))
+def _bilinear(form, u, v):
+    """B(u, v) = sum d_k u_k v_k for the diagonal form <form>."""
+    return sum(d * a * b for d, a, b in zip(form, u, v))
 
 
 def _diagonal(entries):
@@ -206,71 +209,51 @@ def _combine(basis, coords):
     return [sum(x * c for x, c in zip(row, coords)) for row in zip(*basis)]
 
 
-def _congruence_transform(gram, cols):
-    """B^T G B for column vectors cols."""
-    return [[_bilinear(gram, u, v) for v in cols] for u in cols]
-
-
-def _certify(gram, columns, target):
-    """Raise unless columns^T gram columns == target, checked exactly."""
-    if _congruence_transform(gram, columns) != target:
+def _certify(form, columns, target):
+    """Raise unless the Gram matrix of the form on columns is target, checked exactly."""
+    if [[_bilinear(form, u, v) for v in columns] for u in columns] != target:
         raise AssertionError("congruence certificate failed to verify")
 
 
-def _complement(gram, vectors):
-    """(basis, restricted Gram matrix) of the orthogonal complement of vectors."""
-    reduced, pivots = row_echelon([_combine(gram, v) for v in vectors])  # G v, G symmetric
-    ncols = len(gram)
+def _complement(form, columns, vectors):
+    """Columns spanning the part of span(columns) orthogonal to vectors."""
+    rows = [[_bilinear(form, col, v) for col in columns] for v in vectors]
+    reduced, pivots = row_echelon(rows)
     basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+    for fc in (c for c in range(len(columns)) if c not in pivots):
+        coords = [Fraction(0)] * len(columns)
+        coords[fc] = Fraction(1)
         for row, pc in zip(reduced, pivots):
-            vec[pc] = -row[fc]
-        basis.append(vec)
-    return basis, _congruence_transform(gram, basis)
+            coords[pc] = -row[fc]
+        basis.append(_combine(columns, coords))
+    return basis
 
 
-def _diagonalize_symmetric(gram):
-    """(columns, diagonal) with columns^T G columns diagonal; exact."""
-    m = len(gram)
-    work = [[Fraction(v) for v in row] for row in gram]
-    basis = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
+def _diagonalize_symmetric(form, columns):
+    """(columns, diagonal): columns recombined to be pairwise orthogonal, and
+    the form's values on them; exact."""
+    cols = [list(c) for c in columns]
+    m = len(cols)
 
-    def col_add(i, j, f):
-        # basis_i += f * basis_j, applied as a congruence on work
-        for r in range(m):
-            work[r][i] += f * work[r][j]
-        for r in range(m):
-            work[i][r] += f * work[j][r]
-        for r in range(m):
-            basis[r][i] += f * basis[r][j]
-
-    def col_swap(i, j):
-        for r in range(m):
-            work[r][i], work[r][j] = work[r][j], work[r][i]
-        work[i], work[j] = work[j], work[i]
-        for r in range(m):
-            basis[r][i], basis[r][j] = basis[r][j], basis[r][i]
+    def value(i, j):
+        return _bilinear(form, cols[i], cols[j])
 
     for t in range(m):
-        if work[t][t] == 0:
-            swap = next((i for i in range(t + 1, m) if work[i][i]), None)
+        if value(t, t) == 0:
+            swap = next((i for i in range(t + 1, m) if value(i, i)), None)
             if swap is not None:
-                col_swap(t, swap)
+                cols[t], cols[swap] = cols[swap], cols[t]
             else:
-                partner = next((i for i in range(t + 1, m) if work[t][i]), None)
+                partner = next((i for i in range(t + 1, m) if value(t, i)), None)
                 if partner is None:
                     continue
-                col_add(t, partner, Fraction(1))
-        p = work[t][t]
+                cols[t] = [a + b for a, b in zip(cols[t], cols[partner])]
+        p = value(t, t)
         for i in range(t + 1, m):
-            if work[t][i]:
-                col_add(i, t, -work[t][i] / p)
-    diag = tuple(work[i][i] for i in range(m))
-    columns = [[basis[r][c] for r in range(m)] for c in range(m)]
-    return columns, diag
+            f = value(t, i) / p
+            if f:
+                cols[i] = [a - f * b for a, b in zip(cols[i], cols[t])]
+    return cols, tuple(value(i, i) for i in range(m))
 
 
 # -- isotropic vectors and Witt decomposition ------------------------------------
@@ -345,8 +328,8 @@ def witt_split(form) -> WittDecomposition:
     form = tuple(Fraction(c) for c in form)
     if any(c == 0 for c in form):
         raise ValueError("diagonal form must be nondegenerate")
-    # Column vectors, in original coordinates, spanning the not-yet-split
-    # subspace, on which the form is diag; they start as the identity.
+    # Pairwise orthogonal columns spanning the not-yet-split subspace, and the
+    # form's values diag on them; they start as the identity.
     basis = _diagonal([1] * len(form))
     diag = list(form)
     pairs = []
@@ -354,15 +337,14 @@ def witt_split(form) -> WittDecomposition:
         v = find_isotropic(diag)
         if v is None:
             break
-        gram = _diagonal(diag)
-        # f0 is a unit vector scaled so that B(v, f0) = 1.
+        # In the coordinates of basis: f0 is a unit vector scaled so that
+        # B(v, f0) = 1, and (v, f) is a hyperbolic pair.
         pivot = next(i for i, c in enumerate(v) if c)
         f0 = [Fraction(i == pivot) / (diag[pivot] * v[pivot]) for i in range(len(v))]
-        f = [fc - (_bilinear(gram, f0, f0) / 2) * vc for fc, vc in zip(f0, v)]
-        comp, sub = _complement(gram, [v, f])
-        t_cols, diag = _diagonalize_symmetric(sub)
-        pairs += [_combine(basis, v), _combine(basis, f)]
-        basis = [_combine(basis, _combine(comp, t)) for t in t_cols]
+        f = [fc - (_bilinear(diag, f0, f0) / 2) * vc for fc, vc in zip(f0, v)]
+        pair = [_combine(basis, v), _combine(basis, f)]
+        pairs += pair
+        basis, diag = _diagonalize_symmetric(form, _complement(form, basis, pair))
         if any(d == 0 for d in diag):
             raise AssertionError("restriction of a nondegenerate form degenerated")
 
@@ -371,7 +353,7 @@ def witt_split(form) -> WittDecomposition:
     columns = pairs + basis
     decomposition = WittDecomposition(len(pairs) // 2, residual,
                                       tuple(tuple(c) for c in columns), exhausted)
-    _certify(_diagonal(form), columns, decomposition.target_gram())
+    _certify(form, columns, decomposition.target_gram())
     return decomposition
 
 
@@ -390,32 +372,32 @@ def represent(diag, value):
     return None
 
 
-def _congruence_columns(gram, targets):
-    if not targets:
-        return []
-    cols, diag = _diagonalize_symmetric(gram)
-    if any(d == 0 for d in diag):
-        return None
-    v_diag = represent(diag, targets[0])
-    if v_diag is None:
-        return None
-    v = _combine(cols, v_diag)
-    comp, sub = _complement(gram, [v])
-    rest = _congruence_columns(sub, targets[1:])
-    if rest is None:
-        return None
-    return [v] + [_combine(comp, col) for col in rest]
+def _congruence_columns(form, targets):
+    """Columns, one per target, pairwise orthogonal with the form's value on
+    the k-th equal to targets[k]; or None."""
+    columns = _diagonal([1] * len(form))
+    found = []
+    for target in targets:
+        cols, diag = _diagonalize_symmetric(form, columns)
+        if any(d == 0 for d in diag):
+            return None
+        v_diag = represent(diag, target)
+        if v_diag is None:
+            return None
+        found.append(_combine(cols, v_diag))
+        columns = _complement(form, columns, found[-1:])
+    return found
 
 
 def congruence_between(f, g):
     """Transform P with P^T diag(f) P = diag(g), or None within the bound."""
     if len(f) != len(g):
         return None
-    gram = _diagonal(f)
-    cols = _congruence_columns(gram, [Fraction(c) for c in g])
+    f = [Fraction(c) for c in f]
+    cols = _congruence_columns(f, [Fraction(c) for c in g])
     if cols is None:
         return None
-    _certify(gram, cols, _diagonal(g))
+    _certify(f, cols, _diagonal(g))
     return tuple(tuple(c) for c in cols)
 
 
@@ -439,8 +421,6 @@ def similarity_certificate(f, g):
                 prod_ *= p
         candidates.extend([prod_, -prod_])
     for c in sorted(set(candidates), key=abs):
-        if c == 0:
-            continue
         scaled = [c * v for v in f]
         transform = congruence_between(scaled, g)
         if transform is not None:
