@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, permutations
-from operator import add, attrgetter, mul, sub
+from operator import add, attrgetter, index, mul, sub
 
 
 class InexactDivisionError(ArithmeticError):
@@ -120,13 +120,13 @@ class Poly:
         cleaned = {}
         if terms:
             for exps, coeff in terms.items():
-                coeff = _norm_coeff(coeff)
-                if coeff == 0:
-                    continue
-                exps = tuple(int(e) for e in exps)
+                # Every exponent vector is checked, also under a zero coefficient.
+                exps = tuple(map(index, exps))
                 if len(exps) != len(variables) or any(e < 0 for e in exps):
                     raise ValueError("exponent vector does not match variable list")
-                cleaned[exps] = cleaned.get(exps, 0) + coeff
+                coeff = _norm_coeff(coeff)
+                if coeff:
+                    cleaned[exps] = cleaned.get(exps, 0) + coeff
         # Sort the variables by name, so the caller's listing order does not
         # count; _store then drops zero sums and unused variables, so
         # x+0*y == x structurally.
@@ -440,6 +440,8 @@ class IntMatrix:
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         entries = tuple(map(int, entries))
+        if rows < 0 or cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
         object.__setattr__(self, "rows", rows)

@@ -118,6 +118,16 @@ def test_variable_order_is_canonical():
     assert ab.variables == ba.variables == ("a", "b")
 
 
+def test_constructor_checks_every_exponent_vector():
+    with pytest.raises(TypeError):
+        Poly(("x",), {(1.5,): 1})       # int() would truncate it to x
+    for exps in ((1, 2), (-1,)):
+        for coeff in (0, 1):
+            with pytest.raises(ValueError, match="exponent vector"):
+                Poly(("x",), {exps: coeff})
+    assert Poly(("x",), {(2,): 0}) == 0
+
+
 def test_constants_hash_like_their_scalars():
     for value in (0, 3, -7, Fraction(3), Fraction(-2, 5)):
         assert Poly.const(value) == value
@@ -339,6 +349,12 @@ def test_det_codim5_base_change():
 def test_det_nonsquare_rejected():
     with pytest.raises(ValueError, match="determinant of a non-square matrix"):
         det_exact(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+
+
+@pytest.mark.parametrize("rows, cols", [(-1, -1), (-1, 0), (0, -2)])
+def test_negative_dimensions_rejected(rows, cols):
+    with pytest.raises(ValueError, match="dimensions must be nonnegative"):
+        IntMatrix(rows, cols, [0] * (rows * cols))
 
 
 matrix44 = st.lists(
