@@ -117,6 +117,8 @@ class Poly:
 
     def __init__(self, variables: Sequence[str] = (), terms: Mapping[tuple, object] | None = None):
         variables = tuple(variables)
+        if len(set(variables)) != len(variables):
+            raise ValueError("variable names must be distinct")
         cleaned = {}
         if terms:
             for exps, coeff in terms.items():
@@ -439,7 +441,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries", "_det")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        entries = tuple(map(int, entries))
+        rows, cols, entries = index(rows), index(cols), tuple(map(int, entries))
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:

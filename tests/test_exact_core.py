@@ -126,6 +126,8 @@ def test_constructor_checks_every_exponent_vector():
             with pytest.raises(ValueError, match="exponent vector"):
                 Poly(("x",), {exps: coeff})
     assert Poly(("x",), {(2,): 0}) == 0
+    with pytest.raises(ValueError, match="distinct"):
+        Poly(("x", "x"), {(1, 1): 1})   # would be x*x, structurally unequal to x^2
 
 
 def test_constants_hash_like_their_scalars():
@@ -355,6 +357,11 @@ def test_det_nonsquare_rejected():
 def test_negative_dimensions_rejected(rows, cols):
     with pytest.raises(ValueError, match="dimensions must be nonnegative"):
         IntMatrix(rows, cols, [0] * (rows * cols))
+
+
+def test_fractional_dimensions_rejected():
+    with pytest.raises(TypeError):
+        IntMatrix(1.5, 2, [1, 2, 3])
 
 
 matrix44 = st.lists(
