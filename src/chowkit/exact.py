@@ -441,7 +441,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries", "_det")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        rows, cols, entries = index(rows), index(cols), tuple(map(int, entries))
+        rows, cols, entries = index(rows), index(cols), tuple(map(index, entries))
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:

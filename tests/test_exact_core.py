@@ -364,6 +364,22 @@ def test_fractional_dimensions_rejected():
         IntMatrix(1.5, 2, [1, 2, 3])
 
 
+@pytest.mark.parametrize("entries", [[Fraction(3, 2)], [Fraction(2, 1)], [1.9], [2.0], ["3"]])
+def test_non_integer_entries_rejected(entries):
+    """Entries are taken exactly: nothing is truncated or parsed."""
+    with pytest.raises(TypeError):
+        IntMatrix(1, 1, entries)
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([entries])
+
+
+def test_integer_entries_kept_exactly():
+    m = IntMatrix(1, 3, [True, -(2 ** 70), 5])
+    assert m.entries == (1, -(2 ** 70), 5)
+    assert all(type(e) is int for e in m.entries)
+    assert IntMatrix.from_rows([[True, 2], [3, 4]]).entries == (1, 2, 3, 4)
+
+
 matrix44 = st.lists(
     st.lists(st.integers(min_value=-9, max_value=9), min_size=4, max_size=4),
     min_size=4, max_size=4,
