@@ -36,22 +36,19 @@ __all__ = [*_EXPORTS, *_LAYER_OF]
 __version__ = "0.1.0"
 
 
-def _lazy(layer):
-    """The layer's module, registered in ``sys.modules`` but not yet run (a
-    reload of the package keeps the modules it already has)."""
-    name = f"{__name__}.{layer}"
-    if name in _sys.modules:
-        return _sys.modules[name]
-    spec = _util.find_spec(name)
-    spec.loader = _util.LazyLoader(spec.loader)
-    module = _util.module_from_spec(spec)
-    _sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+def _lazy(name):
+    """The module, registered in ``sys.modules`` but not yet run.  A reload of
+    the package keeps the modules it already has."""
+    if name not in _sys.modules:
+        spec = _util.find_spec(name)
+        spec.loader = _util.LazyLoader(spec.loader)
+        _sys.modules[name] = _util.module_from_spec(spec)
+        spec.loader.exec_module(_sys.modules[name])
+    return _sys.modules[name]
 
 
 for _layer in _EXPORTS:
-    globals()[_layer] = _lazy(_layer)
+    globals()[_layer] = _lazy(f"{__name__}.{_layer}")
 
 
 def __getattr__(name):

@@ -78,6 +78,15 @@ def test_every_name_is_its_layers_attribute():
     assert differ == []
 
 
+def test_reload_keeps_the_layers():
+    kept = fresh_json(
+        "import importlib, chowkit\n"
+        "exact, poly = chowkit.exact, chowkit.Poly\n"
+        "importlib.reload(chowkit)\n"
+        "print(json.dumps([chowkit.exact is exact, chowkit.Poly is poly]))")
+    assert kept == [True, True]
+
+
 def test_star_import_and_dir_give_the_public_names():
     star, listed = fresh_json(
         "namespace = {}\n"
