@@ -16,6 +16,7 @@ from chowkit.hyperplane import (
     intersection_pairing,
     label_weight,
     middle_classes,
+    pairing_matrix,
     point_class,
     rational_cycle,
     reference_bases,
@@ -25,7 +26,7 @@ from chowkit.hyperplane import (
     verify_c3_twist_identity,
     verify_cycle_recursion,
 )
-from chowkit.schubert import GrChowClass, box_partitions, pieri
+from chowkit.schubert import GrChowClass, box_partitions, pieri, schur_product
 from test_schubert import complement_partition
 
 
@@ -132,6 +133,31 @@ def test_middle_pairing_matches_independent_oracle():
         for mu in labels:
             assert intersection_pairing(xcls(4, lam), xcls(4, mu)) \
                 == middle_pairing_oracle(lam, mu)
+
+
+def test_middle_pairing_matches_lr_triple_product():
+    # Two middle classes pair through the ambient triple product x * y * sigma_1.
+    labels = box_partitions(3, 3, weight_filter=4)
+    for lam in labels:
+        for mu in labels:
+            x, y = xcls(4, lam), xcls(4, mu)
+            assert intersection_pairing(x, y) \
+                == pieri(schur_product(x, y)).coefficient((3, 3, 3)), (lam, mu)
+
+
+# Nonzero entries (i, j) of the pairing matrix of standard_collection(), in the
+# order it lists the classes; `chowkit tateiso` pins only the determinant.
+STANDARD_PAIRINGS = {
+    (0, 16): 1, (1, 7): 1, (1, 15): -1, (2, 14): -1, (3, 13): -1, (4, 4): 1,
+    (4, 12): -1, (5, 11): -1, (6, 10): -1, (7, 1): 1, (7, 9): 2, (8, 8): 2,
+    (9, 7): 2, (9, 15): -3, (10, 6): -1, (11, 5): -1, (12, 4): -1, (13, 3): -1,
+    (14, 2): -1, (15, 1): -1, (15, 9): -3, (16, 0): 1,
+}
+
+
+def test_standard_collection_pairing_matrix_entries():
+    rows = pairing_matrix(standard_collection()).to_lists()
+    assert rows == [[STANDARD_PAIRINGS.get((i, j), 0) for j in range(17)] for i in range(17)]
 
 
 def test_gram_singleton_and_empty():

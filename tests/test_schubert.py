@@ -217,6 +217,35 @@ def test_full_basis_pairing_is_a_permutation_matrix():
         assert matrix[i][j] == 1
 
 
+def lr_pairing(x, y):
+    """The coefficient of the full-box class in the Littlewood-Richardson product."""
+    return schur_product(x, y).coefficient((x.n - x.k,) * x.k)
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 6), (4, 8)])
+def test_duality_pairing_matches_lr_on_basis_pairs(k, n):
+    cols = n - k
+    for lam in box_partitions(k, cols):
+        for mu in box_partitions(k, cols, weight_filter=k * cols - sum(lam)):
+            x, y = GrChowClass.schubert(k, n, lam), GrChowClass.schubert(k, n, mu)
+            assert duality_pairing(x, y) == lr_pairing(x, y), (lam, mu)
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 6), (4, 8)])
+def test_duality_pairing_matches_lr_on_seeded_sums(k, n):
+    rng = random.Random(2600 + n)
+    cols = n - k
+
+    def seeded_class(codim):
+        return GrChowClass(k, n, codim, {p: rng.randint(-3, 3)
+                                         for p in box_partitions(k, cols, weight_filter=codim)})
+
+    for _ in range(12):
+        codim = rng.randint(0, k * cols)
+        x, y = seeded_class(codim), seeded_class(k * cols - codim)
+        assert duality_pairing(x, y) == lr_pairing(x, y), (x, y)
+
+
 # -- point counts -----------------------------------------------------------------
 
 
