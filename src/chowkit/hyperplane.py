@@ -17,13 +17,7 @@ out of the middle degree, where push-forward and pull-back force two.
 from __future__ import annotations
 
 from .exact import IntMatrix, Poly, det_exact, invertible_over_localization
-from .schubert import (
-    GrChowClass,
-    box_partitions,
-    duality_pairing,
-    pieri,
-    schur_product,
-)
+from .schubert import GrChowClass, box_partitions, duality_pairing, pieri
 
 K, N = 3, 6
 COLS = N - K
@@ -86,17 +80,14 @@ def intersection_pairing(x: GrChowClass, y: GrChowClass) -> int:
 
     Away from the middle degree the label degrees already complement to 9 and
     the Grassmannian duality pairing applies.  Two middle classes pair through
-    the ambient triple product with one extra hyperplane factor (projection
-    formula); this rule reproduces the reference Gram matrix exactly.
+    the ambient triple product with one extra hyperplane factor, which by the
+    projection formula is the duality pairing of pieri(x) with y; this rule
+    reproduces the reference Gram matrix exactly.
     """
     codim = section_codim(x.codim)
     if codim + section_codim(y.codim) != DIM_X:
         raise ValueError("codimensions must sum to 8")
-    if x.is_zero or y.is_zero:
-        return 0
-    if codim == MIDDLE:
-        return pieri(schur_product(x, y)).coefficient((COLS,) * K)
-    return duality_pairing(x, y)
+    return duality_pairing(pieri(x) if codim == MIDDLE else x, y)
 
 
 def gram_matrix(classes) -> IntMatrix:
@@ -175,18 +166,13 @@ def verify_cycle_recursion(i: int):
 def reference_bases() -> dict:
     """The certified generating sets of CH^c(X) for c in 1, 2, 3, 5, 6, 7.
 
-    These are exactly the cycle components of the matching codimension; their
-    unimodularity is what basis_certificate verifies.
+    These are exactly the nonzero cycle components of the matching
+    codimension, in the order of standard_collection; their unimodularity is
+    what basis_certificate verifies.
     """
-    out = {}
-    for c in (1, 2, 3, 5, 6, 7):
-        classes = []
-        for i in range(1, 6):
-            for comp in rational_cycle(i):
-                if section_codim(comp.codim) == c and not comp.is_zero:
-                    classes.append(comp)
-        out[c] = classes
-    return out
+    collection = standard_collection()
+    return {c: [cls for codim, cls in collection if codim == c and not cls.is_zero]
+            for c in (1, 2, 3, 5, 6, 7)}
 
 
 def middle_classes():

@@ -7,7 +7,8 @@ box in all valid ways) and a Schur route that reads each Littlewood-Richardson
 coefficient off alternants in k variables.  The Schur route needs only the
 Schur polynomial of the lighter factor, from exact bialternant division, and
 the k! signed permutations of the heavier one; it never calls Pieri.  The pair
-doubles as a built-in cross-check.
+doubles as a built-in cross-check.  Intersection numbers need neither: the
+duality pairing reads them off complementary partitions.
 """
 from __future__ import annotations
 
@@ -282,15 +283,22 @@ def schur_product(x: GrChowClass, y: GrChowClass) -> GrChowClass:
 def duality_pairing(x: GrChowClass, y: GrChowClass) -> int:
     """Coefficient of the full-box class in the product of x and y.
 
-    Defined when codim(x) + codim(y) equals dim Gr; on basis classes it is 1
-    exactly when the partitions are complementary in the box.
+    Defined when codim(x) + codim(y) equals dim Gr.  By the duality theorem
+    (Fulton, Young Tableaux, 1997, Part III) two basis classes pair to 1
+    exactly when their partitions are complementary in the box and to 0
+    otherwise, so the pairing sums x's coefficients against y's at the
+    complements and forms no product.
     """
     x._same_space(y)
     k, cols = x.k, x.n - x.k
     if x.codim + y.codim != k * cols:
         raise ValueError("pairing needs complementary codimensions")
-    box = tuple([cols] * k)
-    return schur_product(x, y).coefficient(box)
+
+    def complement(parts):
+        # Rows cols - parts_k, ..., cols - parts_1, with the zero rows dropped.
+        return tuple(cols - p for p in (0,) * (k - len(parts)) + parts[::-1] if p < cols)
+
+    return sum(c * y.terms.get(complement(parts), 0) for parts, c in x.terms.items())
 
 
 def point_count(k: int, n: int, q: int) -> int:

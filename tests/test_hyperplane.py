@@ -40,7 +40,11 @@ def restrict_from_gr(c: GrChowClass) -> GrChowClass:
     return section_class(c.codim, dict(c.terms))
 
 
-# -- independent oracle ---------------------------------------------------------
+# -- the duality rule, restated ---------------------------------------------------
+#
+# intersection_pairing applies this same rule (pieri, then complements), so the
+# independent check of the middle pairing is the Littlewood-Richardson one in
+# test_middle_pairing_matches_lr_triple_product.
 
 
 def middle_pairing_oracle(lam, mu):
@@ -136,7 +140,8 @@ def test_middle_pairing_matches_independent_oracle():
 
 
 def test_middle_pairing_matches_lr_triple_product():
-    # Two middle classes pair through the ambient triple product x * y * sigma_1.
+    # Independent of the code's route: two middle classes pair through the ambient
+    # triple product x * y * sigma_1, formed by the Littlewood-Richardson product.
     labels = box_partitions(3, 3, weight_filter=4)
     for lam in labels:
         for mu in labels:

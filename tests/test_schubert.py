@@ -175,7 +175,8 @@ def test_pairing_point_against_fundamental():
 
 
 def test_pairing_complementary_pair():
-    # Independent rule: nonzero exactly on complementary partitions.
+    # The rule duality_pairing applies, restated: nonzero exactly on complementary
+    # partitions.  The independent checks are the Littlewood-Richardson ones below.
     assert complement_partition((3, 1), 3, 3) == (3, 2)
     assert duality_pairing(sch((3, 1)), sch((3, 2))) == 1
 
@@ -218,7 +219,10 @@ def test_full_basis_pairing_is_a_permutation_matrix():
 
 
 def lr_pairing(x, y):
-    """The coefficient of the full-box class in the Littlewood-Richardson product."""
+    """The coefficient of the full-box class in the Littlewood-Richardson product.
+
+    This is the independent route: duality_pairing reads complements and forms
+    no product."""
     return schur_product(x, y).coefficient((x.n - x.k,) * x.k)
 
 
