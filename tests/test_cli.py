@@ -201,31 +201,22 @@ def test_charts_reports_verbatim_equation():
     assert len(rows) == 20
 
 
-@pytest.mark.parametrize("edit, key, pivots", [
-    (lambda table: table.pop((1, 2, 4)), "missing", [1, 2, 4]),
-    (lambda table: table.setdefault((1, 2, 7), table[(1, 2, 4)]), "extra", [1, 2, 7]),
-])
-def test_charts_fails_when_the_table_differs_from_the_charts(monkeypatch, edit, key, pivots):
-    import chowkit.cli as cli
+def test_charts_refuses_a_chart_of_no_smooth_shape(monkeypatch):
+    # A chart outside both smooth shapes raises in classify_chart, so `charts`
+    # ends as a usage error instead of printing a report.
+    from chowkit import geometry
 
-    classify = cli.classify_all_charts
+    equation = geometry.chart_equation
 
-    def edited(degree):
-        table = classify(degree)
-        edit(table)
-        return table
+    def edited(pivots, degree=3):
+        eq = equation(pivots, degree)
+        return eq * eq if tuple(pivots) == (1, 2, 4) else eq
 
-    monkeypatch.setattr(cli, "classify_all_charts", edited)
+    monkeypatch.setattr(geometry, "chart_equation", edited)
     result = run("charts", "--degree", "3")
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)
-    lines = result.output.splitlines()
-    assert lines[0].startswith("[fail] charts (degree=3")
-    assert f"  {key}: {{{','.join(map(str, pivots))}}}" in lines
-    result, doc = run_json("charts", "--degree", "3")
-    assert result.exit_code == 1
-    assert doc["status"] == "fail"
-    assert doc["payload"][key] == [pivots]
+    assert result.exit_code == 2
+    assert result.stdout_bytes == b""
+    assert result.stderr.endswith("Error: chart (1, 2, 4) matches no smooth pattern\n")
 
 
 def failed_battery(monkeypatch, name, edited):
