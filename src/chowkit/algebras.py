@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from operator import mul
+from operator import index, mul
 
 from .exact import Poly, Record, is_prime, row_echelon
 
@@ -128,14 +128,14 @@ class SplitAlgebra(Record):
     __slots__ = ("n", "p")
 
     def __post_init__(self):
-        if self.n < 1:
+        if index(self.n) < 1:
             raise ValueError("degree must be positive")
         if not isinstance(self.p, int) or not is_prime(self.p):
             raise ValueError("base field order must be prime")
 
     def matrix(self, rows) -> tuple:
         n, p = self.n, self.p
-        rows = tuple(tuple(int(v) % p for v in row) for row in rows)
+        rows = tuple(tuple(index(v) % p for v in row) for row in rows)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"expected an {n}x{n} matrix")
         return rows
@@ -239,7 +239,7 @@ def enumerate_right_ideals(alg: SplitAlgebra, k: int):
     """
     if alg.p > 3 or alg.n > 3:
         raise ValueError("enumeration bound is q <= 3 and n <= 3")
-    if not 0 <= k <= alg.n:
+    if not 0 <= index(k) <= alg.n:
         raise ValueError("ideal rank parameter out of range")
     n, p = alg.n, alg.p
     ideals = []

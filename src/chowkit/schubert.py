@@ -13,7 +13,7 @@ duality pairing reads them off complementary partitions.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import gt, sub
+from operator import gt, index, sub
 
 from .exact import Poly, signed_permutations
 
@@ -22,7 +22,7 @@ from .exact import Poly, signed_permutations
 
 
 def normalize_partition(parts) -> tuple:
-    parts = tuple(p for p in map(int, parts) if p)
+    parts = tuple(p for p in map(index, parts) if p)
     if parts and min(parts) < 0:
         raise ValueError("partition parts must be nonnegative")
     if any(map(gt, parts[1:], parts)):
@@ -105,7 +105,7 @@ class GrChowClass:
         cleaned = {}
         for parts, coeff in dict(terms).items():
             parts = normalize_partition(parts)
-            coeff = int(coeff)
+            coeff = index(coeff)
             if coeff == 0:
                 continue
             if not in_box(parts, k, cols):

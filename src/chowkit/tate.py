@@ -15,6 +15,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import takewhile
 from math import comb, prod
+from operator import index
 
 from .exact import Poly, Record, is_prime
 
@@ -213,6 +214,7 @@ def _lambda_column(col) -> dict:
 
 
 def _d2(n: int, q: int, column) -> D2Matrix:
+    n, q = index(n), index(q)
     if not is_prime(n):
         raise ValueError("differential matrices are stated for prime degree")
     if not 1 <= q <= max_weight(n):
