@@ -26,11 +26,11 @@ LAMBDA = "lam"
 # prints 1.2 MB in under a second, and the work grows as n^4 above that.
 GL_PATTERN_MAX_DEGREE = 64
 
-# `chowkit d2` compares the closed form with the Chern-product oracle, whose
-# cost grows steeply with the degree: at the slowest twist, both routes take
-# about 5 ms at n = 11 (q = 45), 12 ms at n = 13 (q = 55) and 0.4 s at n = 17
-# (q = 75) in a fresh process on a 2-CPU x86 host.  `chowkit d2` refuses
-# larger degrees.
+# `chowkit d2` prints the dense matrix, and its size, not the time, bounds the
+# degree: the largest matrix is 221 x 221 (0.16 MB of JSON) at n = 13, but
+# 2,410 x 2,410 at n = 17 (q = 76), 5.8 million entries and 17.6 MB of JSON,
+# while the closed form and the Chern-product oracle take about 0.2 s and
+# 0.36 s there on a 2-CPU x86 host.  `chowkit d2` refuses larger degrees.
 D2_MAX_DEGREE = 13
 
 
