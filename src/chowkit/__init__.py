@@ -7,7 +7,9 @@ integer-coefficient polynomials; there is no floating point in the package.
 Each layer loads on first use.  Importing the package puts the seven layer
 modules in ``sys.modules`` without running them (``importlib.util.LazyLoader``);
 a layer runs the first time one of its attributes is read, directly or through
-a name re-exported here.  ``chowkit.cli`` imports every layer.
+a name re-exported here.  ``chowkit.cli`` binds these module objects and calls
+``layer.name``, so a ``chowkit`` process runs only the layers its subcommand
+reaches.
 """
 
 import importlib.util as _util

@@ -10,6 +10,10 @@ report, (ok, payload) or (ok, payload, text lines), where ok is True (pass),
 False (fail) or None (info).  main prints it with the words, the inputs and
 the --json it parsed; no handler prints or exits.
 
+Handlers call the layers by module, as ``tate.d2_matrix``.  The modules are the
+package's lazily loaded layers, so a process runs only the layers its
+subcommand reaches; parsing, --help and usage errors run none.
+
 A usage error is any ValueError: the parser's, or the library's refusal of an
 input outside its hypotheses.  main alone turns it into exit 2, with the
 message on stderr.
@@ -26,21 +30,7 @@ import json
 import os
 import sys
 
-from .algebras import SplitAlgebra, QuatAlgebra, enumerate_right_ideals, independent, \
-    independent_left_ideal, symbolic_quaternion
-from .exact import IntMatrix, Poly, Record, det_exact, invertible_over_localization
-from .geometry import chart_equation, classify_all_charts, plucker_embed, \
-    quadric_form_value, quadric_identity_samples, verify_quadric_identity, witt_split
-from .hyperplane import basis_certificate, format_cycle, gram_matrix, hyperplane_mul, \
-    c3_twist_residual, middle_classes, pairing_matrix, rational_cycle, reference_bases, \
-    section_class, section_codim, standard_collection, tate_iso_check, \
-    verify_c3_twist_identity, verify_cycle_recursion
-from .schubert import GrChowClass, box_partitions, format_partition, parse_partition, \
-    pieri, point_count, schur_product
-from .spectral import SPLIT_EXTENSION_NOTE, NZ, Z, atom, direct_sum, power_n, \
-    render_group, weight_table
-from .tate import D2_MAX_DEGREE, consistency_report, d2_matrix, d2_matrix_from_chern, \
-    gl_tate_pattern, slice_consistency, max_weight
+from . import algebras, exact, geometry, hyperplane, schubert, spectral, tate
 
 
 def _status(ok) -> str:
@@ -75,33 +65,34 @@ def _report(command: str, inputs: dict, as_json: bool, ok, payload: dict, text=N
 
 
 def _check_pieri_regression():
-    gr = pieri(GrChowClass.schubert(3, 6, (2, 1, 1)))
-    gr_ok = gr == GrChowClass(3, 6, 5, {(2, 2, 1): 1, (3, 1, 1): 1})
-    xr = hyperplane_mul(section_class(4, {(2, 2): 1}))
-    xr_ok = xr == section_class(5, {(3, 3): 1, (3, 2, 1): 2, (2, 2, 2): 1})
+    gr = schubert.pieri(schubert.GrChowClass.schubert(3, 6, (2, 1, 1)))
+    gr_ok = gr == schubert.GrChowClass(3, 6, 5, {(2, 2, 1): 1, (3, 1, 1): 1})
+    xr = hyperplane.hyperplane_mul(hyperplane.section_class(4, {(2, 2): 1}))
+    xr_ok = xr == hyperplane.section_class(5, {(3, 3): 1, (3, 2, 1): 2, (2, 2, 2): 1})
     return gr_ok and xr_ok, {"grassmannian": str(gr), "section": str(xr)}
 
 
 def _check_pieri_schur_agreement():
-    hyper = GrChowClass.schubert(3, 6, (1,))
-    partitions = box_partitions(3, 3)
+    hyper = schubert.GrChowClass.schubert(3, 6, (1,))
+    partitions = schubert.box_partitions(3, 3)
     bad = []
     for parts in partitions:
-        cls = GrChowClass.schubert(3, 6, parts)
-        product = pieri(cls)
+        cls = schubert.GrChowClass.schubert(3, 6, parts)
+        product = schubert.pieri(cls)
         # The top class (3,3,3) times the hyperplane leaves the box: both are 0.
-        if product != schur_product(hyper, cls) or (sum(parts) == 9 and not product.is_zero):
-            bad.append(format_partition(parts))
+        if product != schubert.schur_product(hyper, cls) \
+                or (sum(parts) == 9 and not product.is_zero):
+            bad.append(schubert.format_partition(parts))
     return not bad, {"partitions_checked": len(partitions), "disagreements": bad}
 
 
 def _check_gram_certificate():
     """Gram matrix of the three middle-degree classes."""
-    matrix = gram_matrix(middle_classes())
-    expected = IntMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-    det = det_exact(matrix)
-    with_two = tate_iso_check([(4, c) for c in middle_classes()], {2})
-    without = tate_iso_check([(4, c) for c in middle_classes()], set())
+    matrix = hyperplane.gram_matrix(hyperplane.middle_classes())
+    expected = exact.IntMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    det = exact.det_exact(matrix)
+    with_two = hyperplane.tate_iso_check([(4, c) for c in hyperplane.middle_classes()], {2})
+    without = hyperplane.tate_iso_check([(4, c) for c in hyperplane.middle_classes()], set())
     ok = matrix == expected and det == -2 and with_two and not without
     return ok, {"matrix": matrix.to_lists(), "det": det,
                 "invertible_with_2_inverted": with_two,
@@ -111,34 +102,36 @@ def _check_gram_certificate():
 def _check_cycle_recursion():
     steps = {}
     for i in range(1, 5):
-        holds, residual = verify_cycle_recursion(i)
-        steps[str(i)] = {"holds": holds, "residual": format_cycle(residual)}
+        holds, residual = hyperplane.verify_cycle_recursion(i)
+        steps[str(i)] = {"holds": holds, "residual": hyperplane.format_cycle(residual)}
     return all(step["holds"] for step in steps.values()), {"steps": steps}
 
 
 def _check_basis_certificates():
-    codims = {str(codim): basis_certificate(classes, codim)
-              for codim, classes in sorted(reference_bases().items())}
+    codims = {str(codim): hyperplane.basis_certificate(classes, codim)
+              for codim, classes in sorted(hyperplane.reference_bases().items())}
     return all(codims.values()), {"codims": codims}
 
 
 def _check_chern_twist_identity():
-    return verify_c3_twist_identity(), {"residual": str(c3_twist_residual())}
+    return hyperplane.verify_c3_twist_identity(), \
+        {"residual": str(hyperplane.c3_twist_residual())}
 
 
 def _check_quadric_identity():
     """Symbolic and sampled verification of the embedding quadric identity."""
-    symbolic = verify_quadric_identity()
-    sampled = quadric_identity_samples(200)
+    symbolic = geometry.verify_quadric_identity()
+    sampled = geometry.quadric_identity_samples(200)
     return symbolic and sampled, {"symbolic_zero": symbolic, "samples": 200,
                                   "samples_zero": sampled}
 
 
 def _check_chart_sweep():
-    rows = {",".join(map(str, pivots)): cls.kind for pivots, cls in classify_all_charts(3).items()}
-    eq = chart_equation((1, 2, 4))
-    expected = Poly.var("a33") - (Poly.var("a51") * Poly.var("a62")
-                                  - Poly.var("a52") * Poly.var("a61"))
+    rows = {",".join(map(str, pivots)): cls.kind
+            for pivots, cls in geometry.classify_all_charts(3).items()}
+    eq = geometry.chart_equation((1, 2, 4))
+    var = exact.Poly.var
+    expected = var("a33") - (var("a51") * var("a62") - var("a52") * var("a61"))
     verbatim = eq == expected
     counts = {kind: list(rows.values()).count(kind) for kind in ("SL", "graph")}
     ok = len(rows) == 20 and verbatim
@@ -152,10 +145,10 @@ def _pattern_json(pattern) -> dict:
 
 
 def _check_gl_patterns():
-    pattern = gl_tate_pattern(2)
+    pattern = tate.gl_tate_pattern(2)
     gl_ok = pattern == {(0, 0): 1, (1, 1): 1, (2, 3): 1, (3, 4): 1}
-    slice_ok = {str(n): slice_consistency(n) for n in (2, 3, 5)}
-    report = consistency_report()
+    slice_ok = {str(n): tate.slice_consistency(n) for n in (2, 3, 5)}
+    report = tate.consistency_report()
     ok = gl_ok and all(slice_ok.values()) and report["all"]
     return ok, {"gl2_pattern": _pattern_json(pattern),
                 "slice_consistency": slice_ok,
@@ -165,9 +158,9 @@ def _check_gl_patterns():
 def _check_d2_oracle():
     checked = 0
     for n in (2, 3, 5):
-        for q in range(1, max_weight(n) + 1):
-            closed = d2_matrix(n, q)
-            derived = d2_matrix_from_chern(n, q)
+        for q in range(1, tate.max_weight(n) + 1):
+            closed = tate.d2_matrix(n, q)
+            derived = tate.d2_matrix_from_chern(n, q)
             if closed.entries != derived.entries:
                 return False, {"counterexample": {"n": n, "q": q}}
             checked += 1
@@ -176,10 +169,11 @@ def _check_d2_oracle():
 
 def _expected_weight_tables():
     return {
-        1: {1: Z},
-        2: {2: atom("F*"), 3: NZ},
-        3: {1: atom("H^{0,2}(F)"), 2: atom("H^{1,2}(F)"), 3: atom("H^{2,2}(F)"),
-            4: direct_sum([Z, power_n("F*")]), 5: NZ},
+        1: {1: spectral.Z},
+        2: {2: spectral.atom("F*"), 3: spectral.NZ},
+        3: {1: spectral.atom("H^{0,2}(F)"), 2: spectral.atom("H^{1,2}(F)"),
+            3: spectral.atom("H^{2,2}(F)"),
+            4: spectral.direct_sum([spectral.Z, spectral.power_n("F*")]), 5: spectral.NZ},
     }
 
 
@@ -188,13 +182,13 @@ def _check_ss_tables():
     tables = {}
     ok = invariant = True
     for j in (1, 2, 3):
-        table = weight_table(3, j, unit="c")
-        tables[str(j)] = {str(p): render_group(g) for p, g in sorted(table.items())}
+        table = spectral.weight_table(3, j, unit="c")
+        tables[str(j)] = {str(p): spectral.render_group(g) for p, g in sorted(table.items())}
         ok = ok and table == expected[j]
         # The symbolic unit never enters the rewrite rules.
-        invariant = invariant and weight_table(3, j, unit="c'") == table
+        invariant = invariant and spectral.weight_table(3, j, unit="c'") == table
     return ok and invariant, {"tables": tables, "unit_invariant": invariant,
-                              "assumption": SPLIT_EXTENSION_NOTE}
+                              "assumption": spectral.SPLIT_EXTENSION_NOTE}
 
 
 def _check_ideal_enumeration():
@@ -202,13 +196,13 @@ def _check_ideal_enumeration():
     counts = {}
     ok = True
     for (n, k), want in expected.items():
-        count, _ = enumerate_right_ideals(SplitAlgebra(n, 2), k)
+        count, _ = algebras.enumerate_right_ideals(algebras.SplitAlgebra(n, 2), k)
         counts[f"n={n},k={k}"] = count
-        ok = ok and count == want and count == point_count(k, n, 2)
-    alg = SplitAlgebra(2, 2)
+        ok = ok and count == want and count == schubert.point_count(k, n, 2)
+    alg = algebras.SplitAlgebra(2, 2)
     elements = list(alg.all_elements())
     agree = all(
-        independent(alg, (x, y)) == independent_left_ideal(alg, (x, y))
+        algebras.independent(alg, (x, y)) == algebras.independent_left_ideal(alg, (x, y))
         for x in elements for y in elements
     )
     return ok and agree, {"counts": counts, "independence_routes_agree": agree}
@@ -247,9 +241,10 @@ def verify_all():
 
 def schubert_mul(first, second, xring):
     """Product of two Schubert classes, e.g. mul "(2,2)" "(1)"."""
-    lam, mu = parse_partition(first), parse_partition(second)
+    lam, mu = schubert.parse_partition(first), schubert.parse_partition(second)
     if not xring:
-        result = schur_product(GrChowClass.schubert(3, 6, lam), GrChowClass.schubert(3, 6, mu))
+        schubert_class = schubert.GrChowClass.schubert
+        result = schubert.schur_product(schubert_class(3, 6, lam), schubert_class(3, 6, mu))
         return None, {"result": str(result), "codim": result.codim}
     if (1,) not in (lam, mu):
         raise ValueError("--xring multiplies by the hyperplane: one factor must be (1)")
@@ -262,19 +257,20 @@ def _mul_h(parts) -> dict:
     The codimension is read off the label degree before the class is built, so
     a degree-5 label is reported as such even when it also escapes the box.
     """
-    result = hyperplane_mul(section_class(section_codim(sum(parts)), {parts: 1}))
-    return {"result": str(result), "codim": section_codim(result.codim)}
+    codim = hyperplane.section_codim(sum(parts))
+    result = hyperplane.hyperplane_mul(hyperplane.section_class(codim, {parts: 1}))
+    return {"result": str(result), "codim": hyperplane.section_codim(result.codim)}
 
 
 def xring_mul_h(label):
     """Multiply a section class by the hyperplane class."""
-    return None, _mul_h(parse_partition(label))
+    return None, _mul_h(schubert.parse_partition(label))
 
 
 def alphas_command():
     """List the five rational cycles and verify their mod-3 recursion."""
     ok, steps = _check_cycle_recursion()
-    cycles = {str(i): format_cycle(rational_cycle(i)) for i in range(1, 6)}
+    cycles = {str(i): hyperplane.format_cycle(hyperplane.rational_cycle(i)) for i in range(1, 6)}
     return ok, {"cycles": cycles, **steps}
 
 
@@ -282,16 +278,16 @@ def bases_command():
     """Unimodularity certificates for the six reference bases."""
     ok, payload = _check_basis_certificates()
     lists = {str(c): [str(cls) for cls in classes]
-             for c, classes in sorted(reference_bases().items())}
+             for c, classes in sorted(hyperplane.reference_bases().items())}
     return ok, {"bases": lists, **payload}
 
 
 def tateiso_command(invert):
     """Invertibility of the pairing matrix of the standard collection."""
-    classes = standard_collection()
-    matrix = pairing_matrix(classes)
-    det = det_exact(matrix)
-    ok = invertible_over_localization(matrix, set(invert))
+    classes = hyperplane.standard_collection()
+    matrix = hyperplane.pairing_matrix(classes)
+    det = exact.det_exact(matrix)
+    ok = exact.invertible_over_localization(matrix, set(invert))
     collection = [{"codim": c, "class": str(cls)} for c, cls in classes]
     return ok, {"invertible": ok, "determinant": det,
                 "collection_size": len(collection), "collection": collection}
@@ -299,38 +295,39 @@ def tateiso_command(invert):
 
 def glmotive_command(n):
     """Tate pattern of GL_n and its total-count identity."""
-    pattern = gl_tate_pattern(n)
+    pattern = tate.gl_tate_pattern(n)
     return pattern.total() == 2 ** n, {"pattern": _pattern_json(pattern),
                                         "total": pattern.total()}
 
 
 def d2_command(n, q):
     """The second-differential matrix between twists q and q+1."""
-    if n > D2_MAX_DEGREE:
-        raise ValueError(f"degree must be at most {D2_MAX_DEGREE}")
-    matrix = d2_matrix(n, q)
-    ok = matrix.entries == d2_matrix_from_chern(n, q).entries
+    if n > tate.D2_MAX_DEGREE:
+        raise ValueError(f"degree must be at most {tate.D2_MAX_DEGREE}")
+    matrix = tate.d2_matrix(n, q)
+    ok = matrix.entries == tate.d2_matrix_from_chern(n, q).entries
     return ok, {"matrix": matrix.to_dict(), "oracle_agrees": ok}
 
 
 def ss_command(n, weight):
     """Assembled spectral-sequence table for one weight."""
-    table = weight_table(n, weight)
-    rendered = {str(p): render_group(g) for p, g in sorted(table.items())}
+    table = spectral.weight_table(n, weight)
+    rendered = {str(p): spectral.render_group(g) for p, g in sorted(table.items())}
     width = max(len(k) for k in rendered)
     lines = [f"[info] ss (n={n}, weight={weight})"]
     lines += [f"  p={p:<{width}}  {group}" for p, group in rendered.items()]
-    lines.append(f"  note: {SPLIT_EXTENSION_NOTE}")
-    return None, {"table": rendered, "assumptions": [SPLIT_EXTENSION_NOTE]}, lines
+    lines.append(f"  note: {spectral.SPLIT_EXTENSION_NOTE}")
+    return None, {"table": rendered, "assumptions": [spectral.SPLIT_EXTENSION_NOTE]}, lines
 
 
 def plucker_command(a, b):
     """Pluecker embedding of a generic pair for numeric structure constants."""
     if a == 0 or b == 0:
         raise ValueError("structure constants must be nonzero")
-    alg = QuatAlgebra(a, b)
-    point = plucker_embed(symbolic_quaternion("1", alg), symbolic_quaternion("2", alg))
-    ok = (point.norms[0] * point.norms[1] - quadric_form_value(alg, point.u)).is_zero
+    alg = algebras.QuatAlgebra(a, b)
+    point = geometry.plucker_embed(algebras.symbolic_quaternion("1", alg),
+                                   algebras.symbolic_quaternion("2", alg))
+    ok = (point.norms[0] * point.norms[1] - geometry.quadric_form_value(alg, point.u)).is_zero
     return ok, {"u": [str(u) for u in point.u], "identity_holds": ok}
 
 
@@ -338,7 +335,7 @@ def charts_command(degree):
     """Classify every chart of the block-determinant hyperplane."""
     # classify_all_charts covers every chart of the degree, and a chart that
     # matches no smooth shape raises in classify_chart, so a report is a pass.
-    table = classify_all_charts(degree)
+    table = geometry.classify_all_charts(degree)
     rows = [{"pivots": list(pivots), "kind": cls.kind, "pivot_variable": cls.pivot_variable,
              "equation": str(cls.equation)} for pivots, cls in sorted(table.items())]
     lines = [f"[pass] charts (degree={degree}, {len(rows)} charts)"]
@@ -351,8 +348,8 @@ def charts_command(degree):
 
 def ideals_command(n, q, k):
     """Enumerate right ideals of rank k*n in M_n(F_q)."""
-    count, ideals = enumerate_right_ideals(SplitAlgebra(n, q), k)
-    expected = point_count(k, n, q)
+    count, ideals = algebras.enumerate_right_ideals(algebras.SplitAlgebra(n, q), k)
+    expected = schubert.point_count(k, n, q)
     return count == expected, {
         "count": count, "gaussian_binomial": expected,
         "subspaces": [[list(r) for r in ideal.subspace] for ideal in ideals]}
@@ -363,7 +360,7 @@ def witt_command(form):
     entries = [int(v) for v in form.split(",") if v.strip()]
     if not entries:
         raise ValueError("empty form")
-    decomposition = witt_split(entries)
+    decomposition = geometry.witt_split(entries)
     return True, {"hyperbolic_planes": decomposition.planes,
                   "residual": [str(d) for d in decomposition.residual],
                   "search_exhausted": decomposition.search_exhausted}
@@ -378,7 +375,7 @@ def witt_command(form):
 # options only up to its subcommand's name.
 
 
-class _Param(Record):
+class _Param:
     """One parameter of a subcommand.
 
     name is "--n" for an option or a flag and "first" for a positional
@@ -391,13 +388,12 @@ class _Param(Record):
 
     __slots__ = ("name", "kind", "multiple", "help")
 
+    def __init__(self, name, kind, multiple=False, help=""):
+        self.name, self.kind, self.multiple, self.help = name, kind, multiple, help
 
-def _param(name, kind, multiple=False, help=""):
-    return _Param(name, kind, multiple, help)
 
-
-_JSON = _param("--json", bool, help="emit a JSON document")
-_HELP = _param("--help", bool, help="Show this message and exit.")
+_JSON = _Param("--json", bool, help="emit a JSON document")
+_HELP = _Param("--help", bool, help="Show this message and exit.")
 
 # The help line of each group; the empty path is `chowkit` itself.
 GROUPS = {
@@ -412,24 +408,24 @@ GROUPS = {
 COMMANDS = {
     ("verify", "all"): (verify_all, ()),
     ("schubert", "mul"): (schubert_mul, (
-        _param("first", str), _param("second", str),
-        _param("--xring", bool,
+        _Param("first", str), _Param("second", str),
+        _Param("--xring", bool,
                help="multiply inside the hyperplane-section ring (one factor must be (1))"))),
-    ("xring", "mul-h"): (xring_mul_h, (_param("label", str),)),
+    ("xring", "mul-h"): (xring_mul_h, (_Param("label", str),)),
     ("gram",): (_check_gram_certificate, ()),
     ("alphas",): (alphas_command, ()),
     ("bases",): (bases_command, ()),
     ("tateiso",): (tateiso_command, (
-        _param("--invert", int, multiple=True, help="prime to invert (repeatable)"),)),
-    ("glmotive",): (glmotive_command, (_param("--n", int),)),
-    ("d2",): (d2_command, (_param("--n", int), _param("--q", int))),
-    ("ss",): (ss_command, (_param("--n", int), _param("--weight", int))),
+        _Param("--invert", int, multiple=True, help="prime to invert (repeatable)"),)),
+    ("glmotive",): (glmotive_command, (_Param("--n", int),)),
+    ("d2",): (d2_command, (_Param("--n", int), _Param("--q", int))),
+    ("ss",): (ss_command, (_Param("--n", int), _Param("--weight", int))),
     ("quadric",): (_check_quadric_identity, ()),
-    ("plucker",): (plucker_command, (_param("--a", int), _param("--b", int))),
-    ("charts",): (charts_command, (_param("--degree", ("2", "3")),)),
-    ("ideals",): (ideals_command, (_param("--n", int), _param("--q", int), _param("--k", int))),
+    ("plucker",): (plucker_command, (_Param("--a", int), _Param("--b", int))),
+    ("charts",): (charts_command, (_Param("--degree", ("2", "3")),)),
+    ("ideals",): (ideals_command, (_Param("--n", int), _Param("--q", int), _Param("--k", int))),
     ("witt",): (witt_command, (
-        _param("--form", str, help="comma-separated diagonal entries, e.g. 1,-2,-3,6,-1"),)),
+        _Param("--form", str, help="comma-separated diagonal entries, e.g. 1,-2,-3,6,-1"),)),
 }
 
 

@@ -324,8 +324,13 @@ def witt_split(form) -> WittDecomposition:
     re-diagonalizes.  The congruence certificate is verified exactly before
     returning.  A nonempty residual with search_exhausted=True means the
     bounded search found nothing; the residual may well be anisotropic.
+    Entries are read exactly with Fraction; one that is not a finite rational
+    raises ValueError or TypeError.
     """
-    form = tuple(Fraction(c) for c in form)
+    try:
+        form = tuple(Fraction(c) for c in form)
+    except (ZeroDivisionError, OverflowError) as err:
+        raise ValueError(f"form entries must be finite rationals: {err}") from None
     if any(c == 0 for c in form):
         raise ValueError("diagonal form must be nondegenerate")
     # Pairwise orthogonal columns spanning the not-yet-split subspace, and the

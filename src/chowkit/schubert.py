@@ -101,6 +101,7 @@ class GrChowClass:
     __slots__ = ("k", "n", "codim", "terms")
 
     def __init__(self, k: int, n: int, codim: int, terms):
+        k, n, codim = index(k), index(n), index(codim)
         cols = n - k
         cleaned = {}
         for parts, coeff in dict(terms).items():

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chowkit import schubert, tate
 from chowkit.schubert import GrChowClass, box_partitions, format_partition
 from chowkit.tate import D2_MAX_DEGREE, GL_PATTERN_MAX_DEGREE, D2Matrix
 
@@ -219,12 +220,10 @@ def test_charts_refuses_a_chart_of_no_smooth_shape(monkeypatch):
     assert result.stderr.endswith("Error: chart (1, 2, 4) matches no smooth pattern\n")
 
 
-def failed_battery(monkeypatch, name, edited):
-    """The `verify all --json` document with chowkit.cli.<name> replaced by
-    edited, after checking that the text run fails as well."""
-    import chowkit.cli as cli
-
-    monkeypatch.setattr(cli, name, edited)
+def failed_battery(monkeypatch, layer, name, edited):
+    """The `verify all --json` document with <name> of the layer module replaced
+    by edited, after checking that the text run fails as well."""
+    monkeypatch.setattr(layer, name, edited)
     assert run("verify", "all").exit_code == 1
     result, doc = run_json("verify", "all")
     assert result.exit_code == 1
@@ -233,25 +232,21 @@ def failed_battery(monkeypatch, name, edited):
 
 
 def test_pieri_schur_agreement_fails_when_the_routes_disagree(monkeypatch):
-    import chowkit.cli as cli
-
-    schur_product = cli.schur_product
+    schur_product = schubert.schur_product
     spoiled = GrChowClass.schubert(3, 6, (2, 1))
 
     def edited(first, second):
         product = schur_product(first, second)
         return product + product if second == spoiled else product
 
-    payload = failed_battery(monkeypatch, "schur_product", edited)
+    payload = failed_battery(monkeypatch, schubert, "schur_product", edited)
     assert payload["failed"] == ["pieri_schur_agreement"]
     check = next(c for c in payload["checks"] if c["name"] == "pieri_schur_agreement")
     assert check["detail"]["disagreements"] == ["(2,1)"]
 
 
 def test_d2_oracle_fails_when_the_routes_disagree(monkeypatch):
-    import chowkit.cli as cli
-
-    derive = cli.d2_matrix_from_chern
+    derive = tate.d2_matrix_from_chern
 
     def edited(n, q):
         matrix = derive(n, q)
@@ -259,7 +254,7 @@ def test_d2_oracle_fails_when_the_routes_disagree(monkeypatch):
             return matrix
         return D2Matrix(n, q, matrix.row_indices, matrix.col_indices, ())
 
-    payload = failed_battery(monkeypatch, "d2_matrix_from_chern", edited)
+    payload = failed_battery(monkeypatch, tate, "d2_matrix_from_chern", edited)
     assert payload["failed"] == ["d2_oracle"]
     check = next(c for c in payload["checks"] if c["name"] == "d2_oracle")
     assert check["detail"]["counterexample"] == {"n": 3, "q": 2}

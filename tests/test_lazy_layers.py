@@ -1,9 +1,12 @@
-"""Importing chowkit registers its seven layers without running them.
+"""Importing chowkit registers its seven layers without running them, and the
+CLI runs only the layers its subcommand reaches.
 
 Each check runs in a fresh ``python -S`` with ``PYTHONPATH=src``, so no module
 that ``site`` imports can hide one that a layer imports.  A layer shows that it
 ran by the standard-library modules it imports: ``exact`` imports ``fractions``
-and ``heapq``, and only ``geometry`` imports ``random``.
+and ``heapq``, and only ``geometry`` imports ``random``.  The CLI checks read it
+more directly: a layer has run once its module is no longer a ``_LazyModule``
+(read with ``type``, since any attribute of a lazy module runs it).
 
 The file needs only the standard library: ``python tests/test_lazy_layers.py``
 runs every check on the interpreter that runs it.
@@ -96,6 +99,39 @@ def test_star_import_and_dir_give_the_public_names():
         "                  [n for n in dir(chowkit) if not n.startswith('_')]]))")
     assert star == PUBLIC
     assert listed == PUBLIC
+
+
+def layers_run(argv=None):
+    """The layers that have run in a fresh process after ``import chowkit.cli``
+    and, given argv, ``main(argv)``, with the exit code (0 after the import)."""
+    return fresh_json(
+        "import contextlib, io\n"
+        "import chowkit.cli\n"
+        f"argv, code = {argv!r}, 0\n"
+        "if argv is not None:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            chowkit.cli.main(argv)\n"
+        "        except SystemExit as stop:\n"
+        "            code = stop.code\n"
+        f"print(json.dumps([code, [layer for layer in {list(EXPORTS)!r}\n"
+        "    if type(sys.modules['chowkit.' + layer]).__name__ != '_LazyModule']]))")
+
+
+def test_cli_import_runs_no_layer():
+    assert layers_run() == [0, []]
+
+
+def test_cli_help_runs_no_layer():
+    assert layers_run(["--help"]) == [0, []]
+
+
+def test_cli_d2_runs_exact_and_tate_alone():
+    assert layers_run(["d2", "--n", "5", "--q", "3", "--json"]) == [0, ["exact", "tate"]]
+
+
+def test_cli_verify_all_runs_every_layer():
+    assert layers_run(["verify", "all", "--json"]) == [0, list(EXPORTS)]
 
 
 def test_cli_module_runs_without_warnings():

@@ -2,8 +2,9 @@
 
 A top-level public function or class must be loaded somewhere in ``src/chowkit``
 outside its own definition and outside ``__init__.py``, or be one of the
-functions the benchmark's tracer wraps; the CLI's subcommand handlers are
-loaded by its dispatch table.  A public method of a public class must be
+functions the benchmark's tracer wraps.  A load is of its name, or of
+``layer.name`` in a module that imports the layer with ``from . import layer``;
+the CLI's subcommand handlers are loaded by its dispatch table.  A public method of a public class must be
 loaded as an attribute of that name somewhere outside its own body, or be one
 of the ``Poly`` methods the tracer wraps; the scan goes by name alone.
 
@@ -54,6 +55,12 @@ def orphans():
                       if isinstance(node, ast.ImportFrom) and node.level == 1
                       for alias in node.names}
                for stem, tree in modules.items()}
+    # `from . import layer` then `layer.name`: the pairs (layer, name) loaded.
+    qualified = {stem: {(n.value.id, n.attr) for n in ast.walk(tree)
+                        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                        and isinstance(n.value, ast.Name)
+                        and (None, n.value.id) in imports[stem]}
+                 for stem, tree in modules.items()}
     traced = {(layer, name) for layer, names in load_tracer().TRACED_FUNCTIONS.items()
               for name in names}
     out = []
@@ -65,6 +72,7 @@ def orphans():
                 continue
             used = any(defn.name in loads(stmt) for stmt in tree.body if stmt is not defn) or any(
                 (stem, defn.name) in imports[other] and defn.name in loads(other_tree)
+                or (stem, defn.name) in qualified[other]
                 for other, other_tree in modules.items() if other != stem)
             if not used:
                 out.append(f"{stem}.{defn.name}")
