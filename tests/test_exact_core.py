@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 from itertools import takewhile
 
@@ -92,6 +93,43 @@ def test_difference_of_squares():
 def test_multiplicative_identity():
     p = Poly.var("x") ** 2 - 3 * Poly.var("y") + 7
     assert poly_mul(p, Poly.const(1)) == p
+
+
+def test_poly_str_pins_signs_and_coefficients():
+    x, y = Poly.variables_of("x", "y")
+    cases = {
+        Poly.zero(): "0",
+        Poly.const(1): "1",
+        Poly.const(-1): "-1",
+        -x: "-x",
+        Fraction(1, 2) * x - 3 * y + 1: "1/2*x - 3*y + 1",
+        -2 * x * y - Fraction(3, 4): "-2*x*y - 3/4",
+        x ** 3 - 1: "x^3 - 1",
+    }
+    assert {str(p): text for p, text in cases.items()} == {t: t for t in cases.values()}
+
+
+def _seeded_poly(rng) -> Poly:
+    """A polynomial in x, y, z with two to four terms and Fraction coefficients."""
+    terms = {}
+    while len(terms) < rng.randint(2, 4):
+        exps = tuple(rng.randint(0, 2) for _ in range(3))
+        terms[exps] = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3]))
+    return Poly(("x", "y", "z"), terms)
+
+
+def test_poly_power_laws():
+    rng = random.Random(20261021)
+    for _ in range(12):
+        p = _seeded_poly(rng)
+        assert len(p.terms) >= 2
+        assert p ** 0 == 1
+        assert p ** 1 == p
+        for a in range(4):
+            for b in range(4):
+                assert p ** (a + b) == p ** a * p ** b
+    with pytest.raises(ValueError):
+        Poly.var("x") ** -1
 
 
 def test_norm_form_square_has_ten_terms():

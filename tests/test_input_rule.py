@@ -54,6 +54,12 @@ def test_integer_argument_refuses_a_non_integer(name, value):
         INTEGER_ARGUMENTS[name](value)
 
 
+@pytest.mark.parametrize("exponent", [Fraction(1, 2), 0.5, 2.0, "2", ""])
+def test_poly_power_refuses_a_non_integer_exponent(exponent):
+    with pytest.raises(TypeError):
+        Poly.var("x") ** exponent
+
+
 @settings(max_examples=100, deadline=None)
 @given(value=NOT_INTEGERS)
 @example(value="1/0")

@@ -57,6 +57,13 @@ def test_equal_classes_hash_equal():
     assert len({pieri(sch((3, 3, 3))), GrChowClass(3, 6, 0, {})}) == 1
 
 
+def test_class_str_pins_signs_and_coefficients():
+    assert str(GrChowClass(3, 6, 3, {})) == "0"
+    assert str(-sch((2, 1))) == "-(2,1)"
+    assert str(GrChowClass(3, 6, 3, {(3,): -1, (2, 1): 2, (1, 1, 1): 1})) \
+        == "(1,1,1) + 2(2,1) - (3)"
+
+
 # -- Schur-polynomial products ---------------------------------------------------
 
 
