@@ -121,9 +121,9 @@ def _check_chern_twist_identity():
 def _check_quadric_identity():
     """Symbolic and sampled verification of the embedding quadric identity."""
     symbolic = geometry.verify_quadric_identity()
-    sampled = geometry.quadric_identity_samples(200)
-    return symbolic and sampled, {"symbolic_zero": symbolic, "samples": 200,
-                                  "samples_zero": sampled}
+    sampled = geometry.quadric_identity_samples()
+    return symbolic and sampled, {"symbolic_zero": symbolic,
+                                  "samples": geometry.QUADRIC_SAMPLES, "samples_zero": sampled}
 
 
 def _check_chart_sweep():

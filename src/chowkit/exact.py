@@ -13,7 +13,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
-from itertools import chain, permutations
+from itertools import chain, permutations, repeat
 from operator import add, attrgetter, index, mul, sub
 
 
@@ -250,17 +250,9 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
+        if index(exponent) < 0:
             raise ValueError("negative powers are not polynomial")
-        result = Poly.const(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return reduce(mul, repeat(self, exponent), Poly.const(1))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -365,36 +357,32 @@ class Poly:
 
     # -- printing -----------------------------------------------------------
 
-    def _monomial_str(self, exps):
-        parts = []
-        for name, e in zip(self.variables, exps):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
+    def _term_str(self, exps, c) -> str:
+        """One term at its coefficient's magnitude: x, 2*x^3*y or a constant."""
+        mono = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(self.variables, exps) if e)
+        mag = abs(c)
+        if not mono:
+            return str(mag)
+        return mono if mag == 1 else f"{mag}*{mono}"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for exps, c in self.sorted_terms():
-            mono = self._monomial_str(exps)
-            mag = abs(c)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return signed_sum((c, self._term_str(exps, c)) for exps, c in self.sorted_terms())
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def signed_sum(terms) -> str:
+    """Print (coefficient, text of the term at its magnitude) pairs as
+    "a - b + c", or "0" when there are none."""
+    pieces = []
+    for c, text in terms:
+        if pieces:
+            pieces.append(f"- {text}" if c < 0 else f"+ {text}")
+        else:
+            pieces.append(f"-{text}" if c < 0 else text)
+    return " ".join(pieces) or "0"
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
@@ -414,8 +402,8 @@ def det_expansion(rows):
     """Determinant by signed permutation expansion.
 
     Entries may live in any commutative ring with int coercion (ints,
-    Fractions, Poly).  Intended for the small (<= 4x4) symbolic matrices used
-    by chart equations and Schur alternants.
+    Fractions, Poly).  Intended for the small (<= 4x4) symbolic matrices of
+    the chart equations.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import gt, index, sub
 
-from .exact import Poly, signed_permutations
+from .exact import Poly, signed_permutations, signed_sum
 
 
 # -- partitions --------------------------------------------------------------
@@ -32,10 +32,6 @@ def normalize_partition(parts) -> tuple:
 
 def in_box(parts, k: int, cols: int) -> bool:
     return len(parts) <= k and (not parts or parts[0] <= cols)
-
-
-def weight(parts) -> int:
-    return sum(parts)
 
 
 def box_partitions(k: int, cols: int, weight_filter: int | None = None):
@@ -111,7 +107,7 @@ class GrChowClass:
                 continue
             if not in_box(parts, k, cols):
                 raise ValueError(f"partition {parts} escapes the {k}x{cols} box")
-            if weight(parts) != codim:
+            if sum(parts) != codim:
                 raise ValueError("class is not homogeneous")
             cleaned[parts] = cleaned.get(parts, 0) + coeff
         cleaned = {p: c for p, c in cleaned.items() if c}
@@ -131,7 +127,7 @@ class GrChowClass:
     @classmethod
     def schubert(cls, k: int, n: int, parts) -> "GrChowClass":
         parts = normalize_partition(parts)
-        return cls(k, n, weight(parts), {parts: 1})
+        return cls(k, n, sum(parts), {parts: 1})
 
     @property
     def is_zero(self) -> bool:
@@ -175,17 +171,8 @@ class GrChowClass:
         return hash((self.k, self.n, frozenset(self.terms.items())))
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        pieces = []
-        for parts in sorted(self.terms):
-            c = self.terms[parts]
-            body = format_partition(parts) if abs(c) == 1 else f"{abs(c)}{format_partition(parts)}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return signed_sum((c, ("" if abs(c) == 1 else str(abs(c))) + format_partition(p))
+                          for p, c in sorted(self.terms.items()))
 
     def __repr__(self):
         return f"GrChowClass[{self.k},{self.n}]({self})"
@@ -265,7 +252,7 @@ def schur_product(x: GrChowClass, y: GrChowClass) -> GrChowClass:
     out = {}
     for p1, c1 in x.terms.items():
         for p2, c2 in y.terms.items():
-            lam, mu = (p1, p2) if weight(p1) >= weight(p2) else (p2, p1)
+            lam, mu = (p1, p2) if sum(p1) >= sum(p2) else (p2, p1)
             # s_mu is symmetric, so Poly's name order of x1..xk (x10 before x2)
             # leaves its coefficients alone; only s_() = 1 has no variables.
             poly = schur_poly(mu, k)

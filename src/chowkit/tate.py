@@ -133,7 +133,6 @@ def slice_consistency(n: int) -> bool:
 # -- Chern class twist expansion ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def chern_twist(k: int) -> Poly:
     """Expansion of c_k of a class twisted by a line bundle with c_1 = lambda.
 
@@ -188,7 +187,8 @@ def _dual_twist(k: int) -> tuple:
     """chern_twist(k) in Z[lambda]/(lambda^2): its lambda^0 and lambda^1 parts,
     each as {sorted Chern subscripts: coefficient}.  The subscripts are parsed
     from the variable names, since Poly sorts c10 before c2."""
-    parts = (chern_twist(k).coefficient(LAMBDA, power) for power in (0, 1))
+    twist = chern_twist(k)
+    parts = (twist.coefficient(LAMBDA, power) for power in (0, 1))
     return tuple({tuple(sorted(int(name[1:]) for name, e in zip(p.variables, exps)
                                for _ in range(e))): c
                   for exps, c in p.terms.items()} for p in parts)

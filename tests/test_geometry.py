@@ -72,7 +72,7 @@ def test_quadric_identity_symbolic():
 
 
 def test_quadric_identity_samples():
-    assert quadric_identity_samples(200)
+    assert quadric_identity_samples()
 
 
 def test_quadric_identity_over_a_rational_algebra():

@@ -26,6 +26,7 @@ NOT_INTEGERS = st.one_of(
 # Each call passes the drawn value where an integer belongs.
 INTEGER_ARGUMENTS = {
     "Poly exponent": lambda v: Poly(("x",), {(v,): 1}),
+    "Poly power exponent": lambda v: Poly.var("x") ** v,
     "IntMatrix entry": lambda v: IntMatrix(1, 1, [v]),
     "IntMatrix rows": lambda v: IntMatrix(v, 1, [1]),
     "GrChowClass coefficient": lambda v: GrChowClass(3, 6, 1, {(1,): v}),
@@ -54,7 +55,8 @@ def test_integer_argument_refuses_a_non_integer(name, value):
         INTEGER_ARGUMENTS[name](value)
 
 
-@pytest.mark.parametrize("exponent", [Fraction(1, 2), 0.5, 2.0, "2", ""])
+@pytest.mark.parametrize("exponent", [Fraction(1, 2), Fraction(-7, 3), Fraction(0),
+                                      0.5, -1.5, 0.0, 2.0, "2", ""])
 def test_poly_power_refuses_a_non_integer_exponent(exponent):
     with pytest.raises(TypeError):
         Poly.var("x") ** exponent
