@@ -97,22 +97,16 @@ def test_multiplicative_identity():
 
 def test_poly_str_pins_signs_and_coefficients():
     x, y = Poly.variables_of("x", "y")
-    cases = {
-        Poly.zero(): "0",
-        Poly.const(1): "1",
-        Poly.const(-1): "-1",
-        -x: "-x",
-        Fraction(1, 2) * x - 3 * y + 1: "1/2*x - 3*y + 1",
-        -2 * x * y - Fraction(3, 4): "-2*x*y - 3/4",
-        x ** 3 - 1: "x^3 - 1",
-    }
-    assert {str(p): text for p, text in cases.items()} == {t: t for t in cases.values()}
+    polys = (Poly.zero(), Poly.const(1), Poly.const(-1), -x, Fraction(1, 2) * x - 3 * y + 1,
+             -2 * x * y - Fraction(3, 4), x ** 3 - 1)
+    assert [str(p) for p in polys] == \
+        ["0", "1", "-1", "-x", "1/2*x - 3*y + 1", "-2*x*y - 3/4", "x^3 - 1"]
 
 
 def _seeded_poly(rng) -> Poly:
     """A polynomial in x, y, z with two to four terms and Fraction coefficients."""
-    terms = {}
-    while len(terms) < rng.randint(2, 4):
+    terms, size = {}, rng.randint(2, 4)
+    while len(terms) < size:
         exps = tuple(rng.randint(0, 2) for _ in range(3))
         terms[exps] = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3]))
     return Poly(("x", "y", "z"), terms)
@@ -122,7 +116,6 @@ def test_poly_power_laws():
     rng = random.Random(20261021)
     for _ in range(12):
         p = _seeded_poly(rng)
-        assert len(p.terms) >= 2
         assert p ** 0 == 1
         assert p ** 1 == p
         for a in range(4):
