@@ -91,8 +91,8 @@ def _check_gram_certificate():
     matrix = hyperplane.gram_matrix(hyperplane.middle_classes())
     expected = exact.IntMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
     det = exact.det_exact(matrix)
-    with_two = hyperplane.tate_iso_check([(4, c) for c in hyperplane.middle_classes()], {2})
-    without = hyperplane.tate_iso_check([(4, c) for c in hyperplane.middle_classes()], set())
+    with_two = hyperplane.tate_iso_check(hyperplane.middle_classes(), {2})
+    without = hyperplane.tate_iso_check(hyperplane.middle_classes(), set())
     ok = matrix == expected and det == -2 and with_two and not without
     return ok, {"matrix": matrix.to_lists(), "det": det,
                 "invertible_with_2_inverted": with_two,
@@ -159,9 +159,7 @@ def _check_d2_oracle():
     checked = 0
     for n in (2, 3, 5):
         for q in range(1, tate.max_weight(n) + 1):
-            closed = tate.d2_matrix(n, q)
-            derived = tate.d2_matrix_from_chern(n, q)
-            if closed.entries != derived.entries:
+            if tate.d2_matrix(n, q) != tate.d2_matrix_from_chern(n, q):
                 return False, {"counterexample": {"n": n, "q": q}}
             checked += 1
     return True, {"matrices_checked": checked}
@@ -288,7 +286,7 @@ def tateiso_command(invert):
     matrix = hyperplane.pairing_matrix(classes)
     det = exact.det_exact(matrix)
     ok = exact.invertible_over_localization(matrix, set(invert))
-    collection = [{"codim": c, "class": str(cls)} for c, cls in classes]
+    collection = [{"codim": hyperplane.section_codim(x.codim), "class": str(x)} for x in classes]
     return ok, {"invertible": ok, "determinant": det,
                 "collection_size": len(collection), "collection": collection}
 
@@ -305,7 +303,7 @@ def d2_command(n, q):
     if n > tate.D2_MAX_DEGREE:
         raise ValueError(f"degree must be at most {tate.D2_MAX_DEGREE}")
     matrix = tate.d2_matrix(n, q)
-    ok = matrix.entries == tate.d2_matrix_from_chern(n, q).entries
+    ok = matrix == tate.d2_matrix_from_chern(n, q)
     return ok, {"matrix": matrix.to_dict(), "oracle_agrees": ok}
 
 

@@ -773,6 +773,7 @@ def is_prime(n: int) -> bool:
     Raises ValueError for an n without a factor among the bases at or above
     3,317,044,064,679,887,385,961,981, where they no longer prove primality.
     """
+    n = index(n)
     if n < 2:
         return False
     for p in _PRIME_BASES:

@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt, lcm
+from operator import index
 
 from .exact import Poly, Record, det_expansion, prime_factors, row_echelon
 from .algebras import QuatAlgebra, QuatElement, nrd, quat_mul, symbolic_quaternion
@@ -118,18 +119,19 @@ def quadric_identity_samples() -> bool:
 # -- charts of the block-determinant hyperplane ---------------------------------
 
 
-def all_charts(degree: int = 3):
+def all_charts(degree: int):
     """Pivot-row subsets of the 2k x k point matrix, k = degree."""
     if degree not in (2, 3):
         raise ValueError("charts are implemented for degrees 2 and 3")
     return list(combinations(range(1, 2 * degree + 1), degree))
 
 
-def _chart_rows(pivots, degree: int):
-    k = degree
-    pivots = tuple(sorted(pivots))
-    if len(pivots) != k or any(not 1 <= r <= 2 * k for r in pivots) \
-            or len(set(pivots)) != k:
+def _chart_rows(pivots):
+    pivots = tuple(sorted(map(index, pivots)))
+    k = len(pivots)
+    if k not in (2, 3):
+        raise ValueError("charts are implemented for degrees 2 and 3")
+    if any(not 1 <= r <= 2 * k for r in pivots) or len(set(pivots)) != k:
         raise ValueError(f"chart must be a {k}-subset of rows 1..{2 * k}")
     rows = []
     for r in range(1, 2 * k + 1):
@@ -141,14 +143,14 @@ def _chart_rows(pivots, degree: int):
     return rows
 
 
-def chart_equation(pivots, degree: int = 3) -> Poly:
-    """Defining equation of the hyperplane on the given chart.
+def chart_equation(pivots) -> Poly:
+    """Defining equation of the hyperplane on the chart with these k pivots.
 
     The matrix is normalized to the identity on the pivot rows; the equation
     is det(top k x k block) - det(bottom k x k block) in the free entries.
     """
-    rows = _chart_rows(pivots, degree)
-    k = degree
+    rows = _chart_rows(pivots)
+    k = len(rows) // 2
     top = det_expansion(rows[:k])
     bottom = det_expansion(rows[k:])
     return Poly._coerce(top - bottom)
@@ -161,7 +163,7 @@ class ChartClassification(Record):
     __slots__ = ("kind", "pivot_variable", "equation")
 
 
-def classify_chart(pivots, degree: int = 3) -> ChartClassification:
+def classify_chart(pivots) -> ChartClassification:
     """Sort a chart into the two smooth shapes.
 
     "graph": some free variable occurs exactly once, alone in a degree-one
@@ -169,14 +171,14 @@ def classify_chart(pivots, degree: int = 3) -> ChartClassification:
     "SL": the equation is det(free block) = 1.  Anything else raises, which is
     exactly the failure the degree bound protects against.
     """
-    eq = chart_equation(pivots, degree)
+    eq = chart_equation(pivots)
     for idx, name in enumerate(eq.variables):
         hits = [e for e in eq.terms if e[idx] > 0]
         if len(hits) == 1:
             e = hits[0]
             if sum(e) == 1 and e[idx] == 1 and abs(eq.terms[e]) == 1:
                 return ChartClassification("graph", name, eq)
-    k = degree
+    k = len(pivots)
     free_rows = [r for r in range(1, 2 * k + 1) if r not in pivots]
     det_free = det_expansion(
         [[Poly.var(f"a{r}{c + 1}") for c in range(k)] for r in free_rows])
@@ -185,9 +187,9 @@ def classify_chart(pivots, degree: int = 3) -> ChartClassification:
     raise ValueError(f"chart {pivots} matches no smooth pattern")
 
 
-def classify_all_charts(degree: int = 3):
+def classify_all_charts(degree: int):
     """Classification of every chart; the exhaustive run is the verification."""
-    return {pivots: classify_chart(pivots, degree) for pivots in all_charts(degree)}
+    return {pivots: classify_chart(pivots) for pivots in all_charts(degree)}
 
 
 # -- exact rational linear algebra helpers ---------------------------------------

@@ -16,6 +16,8 @@ out of the middle degree, where push-forward and pull-back force two.
 
 from __future__ import annotations
 
+from operator import index
+
 from .exact import IntMatrix, Poly, det_exact, invertible_over_localization
 from .schubert import GrChowClass, box_partitions, duality_pairing, pieri
 
@@ -28,6 +30,7 @@ MIDDLE = DIM_X // 2        # 4
 
 def label_weight(codim: int) -> int:
     """Degree of the Schubert labels used in CH^codim(X)."""
+    codim = index(codim)
     if not 0 <= codim <= DIM_X:
         raise ValueError("codimension outside 0..8")
     return codim if codim <= MIDDLE else codim + 1
@@ -39,6 +42,7 @@ def section_codim(degree: int) -> int:
     The inverse of label_weight: a section class is the GrChowClass of its
     labels, and its ``codim`` attribute is the label degree.
     """
+    degree = index(degree)
     if degree == MIDDLE + 1:
         raise ValueError("labels of degree 5 do not occur in the section ring")
     return degree if degree <= MIDDLE else degree - 1
@@ -96,7 +100,7 @@ def gram_matrix(classes) -> IntMatrix:
     for c in classes:
         if section_codim(c.codim) != MIDDLE:
             raise ValueError("Gram matrix is defined for middle-degree classes")
-    return pairing_matrix([(MIDDLE, c) for c in classes])
+    return pairing_matrix(classes)
 
 
 # -- rational cycles on P^2 x X ----------------------------------------------
@@ -130,6 +134,7 @@ def rational_cycle(i: int) -> tuple:
     Its total codimension is homogeneous, so c_d is a section class of codim
     total - d.
     """
+    i = index(i)
     if i not in _CYCLE_TABLE:
         raise ValueError("rational cycles are numbered 1..5")
     total, table = _CYCLE_TABLE[i]
@@ -151,6 +156,7 @@ def verify_cycle_recursion(i: int):
     hyperplane class of X and H come from different factors, so they commute
     and the product acts on each component c_d alone.
     """
+    i = index(i)
     if not 1 <= i <= 4:
         raise ValueError("recursion steps are numbered 1..4")
     diffs = (hyperplane_mul(c) - c_next
@@ -171,7 +177,7 @@ def reference_bases() -> dict:
     what basis_certificate verifies.
     """
     collection = standard_collection()
-    return {c: [cls for codim, cls in collection if codim == c and not cls.is_zero]
+    return {c: [x for x in collection if section_codim(x.codim) == c and not x.is_zero]
             for c in (1, 2, 3, 5, 6, 7)}
 
 
@@ -204,36 +210,26 @@ def standard_collection():
     The codimension multiset is 8-self-dual, as the Tate-isomorphism check
     requires.
     """
-    coll = [(0, fundamental_class())]
-    for i in range(1, 6):
-        for comp in rational_cycle(i):
-            coll.append((section_codim(comp.codim), comp))
-    coll.append((8, point_class()))
-    return coll
+    cycles = (comp for i in range(1, 6) for comp in rational_cycle(i))
+    return [fundamental_class(), *cycles, point_class()]
 
 
 def pairing_matrix(classes) -> IntMatrix:
-    """Full pairing matrix of a self-dual family of (codim, class) pairs.
+    """Full pairing matrix of a self-dual family of section classes.
 
+    Each class sits in the codimension its labels fix (section_codim).
     Entries vanish unless the two codimensions sum to 8 (there are no
     morphisms between the other summands); this is the matrix whose
     invertibility certifies the split.
     """
     classes = list(classes)
-    counts = {}
-    for codim, _ in classes:
-        counts[codim] = counts.get(codim, 0) + 1
-    for codim, count in counts.items():
-        if counts.get(DIM_X - codim, 0) != count:
+    codims = [section_codim(x.codim) for x in classes]
+    for codim in codims:
+        if codims.count(DIM_X - codim) != codims.count(codim):
             raise ValueError(f"count at codim {codim} differs from count at {DIM_X - codim}")
     size = len(classes)
-    entries = []
-    for ci, xi in classes:
-        for cj, xj in classes:
-            if ci + cj == DIM_X:
-                entries.append(intersection_pairing(xi, xj))
-            else:
-                entries.append(0)
+    entries = [intersection_pairing(xi, xj) if ci + cj == DIM_X else 0
+               for ci, xi in zip(codims, classes) for cj, xj in zip(codims, classes)]
     return IntMatrix(size, size, entries)
 
 

@@ -291,6 +291,7 @@ def duality_pairing(x: GrChowClass, y: GrChowClass) -> int:
 
 def point_count(k: int, n: int, q: int) -> int:
     """Gaussian binomial [n choose k]_q: points of Gr(k, n) over F_q."""
+    k, n, q = index(k), index(n), index(q)
     if not 0 <= k <= n:
         return 0
     num = 1

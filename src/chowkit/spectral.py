@@ -141,13 +141,11 @@ def build_e2(n: int, j: int, unit: str = "c") -> E2Page:
     if not 1 <= j <= 3:
         raise ValueError("coefficient tables cover weights 1..3")
     # Every twist q <= j <= 3 has a slice: prime n >= 2 gives n(n+1)/2 >= 3.
-    cells = {}
     members = {}
     for q in range(1, j + 1):
         for index, p, group in _row_summands(n, j, q):
-            key = (p, q)
-            members.setdefault(key, []).append((index, group))
-            cells[key] = direct_sum([cells.get(key, ZERO), group])
+            members.setdefault((p, q), []).append((index, group))
+    cells = {key: direct_sum(group for _, group in pairs) for key, pairs in members.items()}
 
     diffs = []
     for (p, q) in sorted(cells):
@@ -160,10 +158,7 @@ def build_e2(n: int, j: int, unit: str = "c") -> E2Page:
         tgt = members[target]
         if len(src) != 1 or len(tgt) != 1:
             raise ValueError("differential between multi-summand cells is not supported")
-        matrix = d2_matrix(n, q - 1)
-        row = matrix.row_indices.index(tgt[0][0])
-        col = matrix.col_indices.index(src[0][0])
-        factor = matrix.entries[row][col]
+        factor = d2_matrix(n, q - 1).entry(tgt[0][0], src[0][0])
         if factor % n:
             diffs.append(Differential((p, q), target, factor, unit))
     return E2Page(n, j, cells, tuple(diffs))

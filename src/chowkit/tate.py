@@ -44,6 +44,7 @@ def enumerate_multi_indices(n: int, weight: int):
     They are generated directly as the partitions of weight into distinct
     parts <= n.
     """
+    weight = index(weight)
     if n < 1:
         raise ValueError("degree must be at least 1")
     out = []
@@ -163,6 +164,10 @@ class D2Matrix(Record):
     """
 
     __slots__ = ("n", "q", "row_indices", "col_indices", "entries")
+
+    def entry(self, row, col) -> int:
+        """The entry in the row of multi-index row and the column of col."""
+        return self.entries[self.row_indices.index(row)][self.col_indices.index(col)]
 
     def to_dict(self) -> dict:
         """The matrix as a JSON-ready dict with its index labels and unit."""

@@ -209,8 +209,8 @@ def test_charts_refuses_a_chart_of_no_smooth_shape(monkeypatch):
 
     equation = geometry.chart_equation
 
-    def edited(pivots, degree=3):
-        eq = equation(pivots, degree)
+    def edited(pivots):
+        eq = equation(pivots)
         return eq * eq if tuple(pivots) == (1, 2, 4) else eq
 
     monkeypatch.setattr(geometry, "chart_equation", edited)

@@ -131,13 +131,26 @@ def test_all_degree_two_charts_classify():
     table = classify_all_charts(2)
     assert len(table) == 6
     assert {c.kind for c in table.values()} == {"SL", "graph"}
-    assert classify_chart((1, 2), degree=2).kind == "SL"
-    assert classify_chart((3, 4), degree=2).kind == "SL"
+    assert classify_chart((1, 2)).kind == "SL"
+    assert classify_chart((3, 4)).kind == "SL"
+
+
+def test_chart_degree_is_the_pivot_count():
+    det_bottom = var("a31") * var("a42") - var("a32") * var("a41")
+    assert chart_equation((1, 2)) == 1 - det_bottom
+    assert classify_chart((1, 2)).kind == "SL"
 
 
 def test_chart_validation():
-    with pytest.raises(ValueError):
-        chart_equation((1, 2), degree=3)
+    # The degree k is the pivot count: k rows out of 1..2k, none repeated.
+    repeated = [(1, 1, 2), (2, 2)]
+    out_of_range = [(0, 1, 2), (1, 2, 7), (1, 5)]
+    wrong_count = [(1, 2, 3, 4), (1, 2, 3, 4, 5, 6), (1,), ()]
+    for pivots in repeated + out_of_range + wrong_count:
+        with pytest.raises(ValueError):
+            chart_equation(pivots)
+        with pytest.raises(ValueError):
+            classify_chart(pivots)
     with pytest.raises(ValueError):
         all_charts(4)
 

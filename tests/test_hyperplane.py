@@ -246,14 +246,24 @@ def test_cycle_recursion_detects_injected_defect(monkeypatch):
 
 
 def test_tate_iso_middle_classes():
-    pairs = [(4, c) for c in middle_classes()]
-    assert tate_iso_check(pairs, {2})
-    assert not tate_iso_check(pairs, set())
+    assert tate_iso_check(middle_classes(), {2})
+    assert not tate_iso_check(middle_classes(), set())
+
+
+def test_pairing_matrix_of_middle_classes_is_the_gram_matrix():
+    assert pairing_matrix(middle_classes()) == gram_matrix(middle_classes())
+
+
+def test_pairing_matrix_reads_each_codimension_off_the_class():
+    # A middle class pairs with itself, so two copies of it give a singular
+    # matrix, whatever codimensions a caller might have in mind for them.
+    m = xcls(4, (3, 1))
+    assert pairing_matrix([m, m]) == IntMatrix.from_rows([[1, 1], [1, 1]])
+    assert not tate_iso_check([m, m], {2, 3})
 
 
 def test_tate_iso_fundamental_point_pair():
-    pairs = [(0, fundamental_class()), (8, point_class())]
-    assert tate_iso_check(pairs, set())
+    assert tate_iso_check([fundamental_class(), point_class()], set())
 
 
 def test_tate_iso_full_collection():
@@ -265,7 +275,7 @@ def test_tate_iso_full_collection():
 
 def test_tate_iso_rejects_asymmetric_multiset():
     with pytest.raises(ValueError, match="count at codim 0 differs from count at 8"):
-        tate_iso_check([(0, fundamental_class())], {2})
+        tate_iso_check([fundamental_class()], {2})
 
 
 def test_reference_bases_are_unimodular():

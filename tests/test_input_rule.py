@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chowkit.algebras import SplitAlgebra, enumerate_right_ideals
-from chowkit.exact import IntMatrix, Poly
-from chowkit.geometry import witt_split
-from chowkit.schubert import GrChowClass, normalize_partition
+from chowkit.exact import IntMatrix, Poly, invertible_over_localization, is_prime
+from chowkit.geometry import chart_equation, witt_split
+from chowkit.hyperplane import label_weight, rational_cycle, section_codim, verify_cycle_recursion
+from chowkit.schubert import GrChowClass, normalize_partition, point_count
 from chowkit.spectral import weight_table
-from chowkit.tate import d2_matrix, d2_matrix_from_chern, gl_tate_pattern
+from chowkit.tate import d2_matrix, d2_matrix_from_chern, enumerate_multi_indices, gl_tate_pattern
 
 # Small values too, so that a truncated value would often pass the range checks.
 NOT_INTEGERS = st.one_of(
@@ -44,6 +45,19 @@ INTEGER_ARGUMENTS = {
     "weight_table weight": lambda v: weight_table(3, v),
     "gl_tate_pattern degree": lambda v: gl_tate_pattern(v),
     "enumerate_right_ideals rank": lambda v: enumerate_right_ideals(SplitAlgebra(2, 2), v),
+    "is_prime n": lambda v: is_prime(v),
+    # A prime that is not an integer must not divide the determinant in floating point.
+    "invertible_over_localization prime":
+        lambda v: invertible_over_localization(IntMatrix.from_rows([[2 * 3 ** 40]]), [2, v]),
+    "point_count k": lambda v: point_count(v, 6, 2),
+    "point_count n": lambda v: point_count(2, v, 2),
+    "point_count q": lambda v: point_count(2, 6, v),
+    "chart pivot": lambda v: chart_equation((v, 2, 4)),
+    "rational_cycle index": lambda v: rational_cycle(v),
+    "verify_cycle_recursion index": lambda v: verify_cycle_recursion(v),
+    "label_weight codim": lambda v: label_weight(v),
+    "section_codim degree": lambda v: section_codim(v),
+    "enumerate_multi_indices weight": lambda v: enumerate_multi_indices(3, v),
 }
 
 
