@@ -24,36 +24,44 @@ class InexactDivisionError(ArithmeticError):
 class Record:
     """An immutable value with named fields: the package's one pattern for them.
 
-    A subclass names its fields in ``__slots__``.  The constructor takes every
-    field by position, stores them, then calls ``__post_init__``, where a
-    subclass checks them; ``_trusted`` stores values known to pass those checks
-    without calling it.  Records are equal when they have the same class and
-    equal fields, hash as the tuple of their fields and print as
-    ``Name(field=value, ...)``; assigning or deleting an attribute raises
-    AttributeError.  That is a frozen data class, built without the standard
-    module for them, whose import loads ``inspect`` in every process.
+    A subclass names its slots in ``__slots__``.  Its fields are the slots
+    without a leading underscore; a private slot holds state derived from
+    them, such as a cache, and stays out of equality, hash, printing and
+    pickling.  The constructor takes every field by position, stores them,
+    then calls ``__post_init__``, where a subclass checks them; ``_trusted``
+    stores values known to pass those checks without calling it.  A subclass
+    that canonicalizes its fields defines its own ``__init__``, ending in
+    ``Record.__init__``; copies and unpickled values are rebuilt through it.
+    Records are equal when they have the same class and equal fields, hash as
+    the tuple of their fields and print as ``Name(field=value, ...)``;
+    assigning or deleting an attribute raises AttributeError.  That is a
+    frozen data class, built without the standard module for them, whose
+    import loads ``inspect`` in every process.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
+        cls._fields = fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        # The fields' slot setters, bound once: they go around the refusing
+        # __setattr__ and cost less than object.__setattr__ by name.
+        cls._stores = tuple(getattr(cls, name).__set__ for name in fields)
         # _values is the tuple of the fields; attrgetter of one name gives the lone value.
-        get = attrgetter(*cls.__slots__)
-        cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+        get = attrgetter(*fields)
+        cls._values = property(get if len(fields) > 1 else lambda self: (get(self),))
 
     def __init__(self, *args):
-        names = self.__slots__
-        if len(args) != len(names):
-            raise TypeError(f"{type(self).__name__}() takes the fields {names}")
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
+        if len(args) != len(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {self._fields}")
+        for store, value in zip(self._stores, args):
+            store(self, value)
         self.__post_init__()
 
     @classmethod
     def _trusted(cls, *values):
         record = object.__new__(cls)
-        for name, value in zip(cls.__slots__, values):
-            object.__setattr__(record, name, value)
+        for store, value in zip(cls._stores, values):
+            store(record, value)
         return record
 
     def __post_init__(self):
@@ -77,7 +85,7 @@ class Record:
         return type(self), self._values
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
         return f"{type(self).__qualname__}({fields})"
 
 
@@ -97,7 +105,7 @@ def _grlex(exps):
     return (sum(exps), exps)
 
 
-class Poly:
+class Poly(Record):
     """Sparse polynomial in named variables over exact scalars.
 
     Terms map exponent tuples to coefficients over a tuple of variable names
@@ -115,20 +123,19 @@ class Poly:
 
     __slots__ = ("variables", "terms")
 
-    def __init__(self, variables: Sequence[str] = (), terms: Mapping[tuple, object] | None = None):
+    def __init__(self, variables: Sequence[str], terms: Mapping[tuple, object]):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError("variable names must be distinct")
         cleaned = {}
-        if terms:
-            for exps, coeff in terms.items():
-                # Every exponent vector is checked, also under a zero coefficient.
-                exps = tuple(map(index, exps))
-                if len(exps) != len(variables) or any(e < 0 for e in exps):
-                    raise ValueError("exponent vector does not match variable list")
-                coeff = _norm_coeff(coeff)
-                if coeff:
-                    cleaned[exps] = cleaned.get(exps, 0) + coeff
+        for exps, coeff in terms.items():
+            # Every exponent vector is checked, also under a zero coefficient.
+            exps = tuple(map(index, exps))
+            if len(exps) != len(variables) or any(e < 0 for e in exps):
+                raise ValueError("exponent vector does not match variable list")
+            coeff = _norm_coeff(coeff)
+            if coeff:
+                cleaned[exps] = cleaned.get(exps, 0) + coeff
         # Sort the variables by name, so the caller's listing order does not
         # count; _store then drops zero sums and unused variables, so
         # x+0*y == x structurally.
@@ -162,11 +169,7 @@ class Poly:
             if len(used) != len(variables):
                 variables = tuple(variables[i] for i in used)
                 cleaned = {tuple(e[i] for i in used): c for e, c in cleaned.items()}
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        Record.__init__(self, variables, cleaned)
 
     # -- constructors ------------------------------------------------------
 
@@ -419,7 +422,7 @@ def det_expansion(rows):
     return total
 
 
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable integer matrix, row-major storage.
 
     The private ``_det`` slot holds the determinant once ``det_exact`` or a
@@ -434,21 +437,7 @@ class IntMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: tuple) -> "IntMatrix":
-        # Internal results only: ``entries`` is already a tuple of rows*cols ints.
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", entries)
-        return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
+        Record.__init__(self, rows, cols, entries)
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -463,14 +452,6 @@ class IntMatrix:
 
     def to_lists(self):
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def __eq__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         return f"IntMatrix({self.to_lists()})"
@@ -800,6 +781,7 @@ def is_prime(n: int) -> bool:
 
 def invertible_over_localization(m: IntMatrix, inverted_primes) -> bool:
     """True iff det(m) is, up to sign, a product of powers of the given primes."""
+    inverted_primes = {index(p) for p in inverted_primes}
     for p in inverted_primes:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
@@ -807,7 +789,7 @@ def invertible_over_localization(m: IntMatrix, inverted_primes) -> bool:
     if d == 0:
         return False
     d = abs(d)
-    for p in set(inverted_primes):
+    for p in inverted_primes:
         while d % p == 0:
             d //= p
     return d == 1

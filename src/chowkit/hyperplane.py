@@ -43,6 +43,8 @@ def section_codim(degree: int) -> int:
     labels, and its ``codim`` attribute is the label degree.
     """
     degree = index(degree)
+    if not 0 <= degree <= DIM_GR:
+        raise ValueError("label degree outside 0..9")
     if degree == MIDDLE + 1:
         raise ValueError("labels of degree 5 do not occur in the section ring")
     return degree if degree <= MIDDLE else degree - 1

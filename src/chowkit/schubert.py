@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import gt, index, sub
 
-from .exact import Poly, signed_permutations, signed_sum
+from .exact import Poly, Record, signed_permutations, signed_sum
 
 
 # -- partitions --------------------------------------------------------------
@@ -91,7 +91,7 @@ def add_box_targets(parts, k: int, cols: int):
 # -- Chow classes -------------------------------------------------------------
 
 
-class GrChowClass:
+class GrChowClass(Record):
     """Homogeneous integer combination of Schubert classes on Gr(k, n)."""
 
     __slots__ = ("k", "n", "codim", "terms")
@@ -116,13 +116,7 @@ class GrChowClass:
             raise ValueError("codimension outside the Chow ring grading")
         if codim < 0:
             raise ValueError("negative codimension")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "codim", codim)
-        object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GrChowClass is immutable")
+        Record.__init__(self, k, n, codim, cleaned)
 
     @classmethod
     def schubert(cls, k: int, n: int, parts) -> "GrChowClass":
@@ -292,6 +286,8 @@ def duality_pairing(x: GrChowClass, y: GrChowClass) -> int:
 def point_count(k: int, n: int, q: int) -> int:
     """Gaussian binomial [n choose k]_q: points of Gr(k, n) over F_q."""
     k, n, q = index(k), index(n), index(q)
+    if q < 2:
+        raise ValueError("a finite field has at least 2 elements")
     if not 0 <= k <= n:
         return 0
     num = 1

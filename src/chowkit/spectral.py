@@ -11,6 +11,8 @@ precise sense in which the output does not depend on it.
 
 from __future__ import annotations
 
+from operator import index
+
 from .exact import Record, is_prime
 from .tate import d2_matrix, enumerate_multi_indices
 
@@ -28,6 +30,7 @@ NZ = (("nZ", "nZ"),)
 
 
 def cyclic(order: int) -> tuple:
+    order = index(order)
     if order < 1:
         raise ValueError("cyclic order must be positive")
     # Z/1 is trivial.
@@ -63,6 +66,7 @@ def cech_group(n: int, p: int, w: int) -> tuple:
     the field cohomology H^{p,2}(F) through degree 2 and the reduction
     K_1(F)/n[A] in degree 4.
     """
+    n, p, w = index(n), index(p), index(w)
     if w < 0 or w > 2:
         raise ValueError("coefficient tables stop at weight 2")
     if w == 0:

@@ -102,6 +102,7 @@ def gl_tate_pattern(n: int) -> Counter:
 
 
 def max_weight(n: int) -> int:
+    n = index(n)
     return n * (n + 1) // 2
 
 

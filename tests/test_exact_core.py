@@ -23,6 +23,8 @@ from chowkit.exact import (
     prime_factors,
     smith_normal_form,
 )
+from chowkit.geometry import classify_chart
+from chowkit.schubert import GrChowClass
 from chowkit.tate import d2_matrix
 
 
@@ -707,15 +709,67 @@ def test_localization_rejects_nonprime():
         invertible_over_localization(identity(2), {4})
 
 
+def test_localization_reads_the_primes_once():
+    # A generator is used up by the primality check if it is read twice.
+    assert invertible_over_localization(IntMatrix.from_rows([[2]]), (p for p in [2]))
+    assert invertible_over_localization(IntMatrix.from_rows([[6]]), iter([3, 2]))
+
+
 # -- records ------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("record", [QuatAlgebra(2, 3), SplitAlgebra(2, 2), d2_matrix(3, 2)],
-                         ids=["QuatAlgebra", "SplitAlgebra", "D2Matrix"])
+def det_cached(rows) -> IntMatrix:
+    m = IntMatrix.from_rows(rows)
+    det_exact(m)
+    return m
+
+
+RECORDS = {
+    "QuatAlgebra": QuatAlgebra(2, 3),
+    "SplitAlgebra": SplitAlgebra(2, 2),
+    "D2Matrix": d2_matrix(3, 2),
+    "Poly": Poly(("x", "y"), {(2, 1): Fraction(-3, 4), (0, 1): 2, (0, 0): 5}),
+    "IntMatrix with its det cached": det_cached([[2, 1, 0], [1, 3, 1], [0, 1, 4]]),
+    "GrChowClass": GrChowClass(3, 6, 3, {(2, 1): 2, (1, 1, 1): -1}),
+    "zero GrChowClass": GrChowClass(3, 6, 4, {}),
+    "SmithForm": smith_normal_form(IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])),
+    "ChartClassification": classify_chart((1, 2, 4)),
+    "symbolic QuatAlgebra": QuatAlgebra.symbolic(),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS.values(), ids=RECORDS)
 def test_records_survive_pickle_and_deepcopy(record):
-    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
         assert type(copied) is type(record)
         assert copied == record
+        if isinstance(record, IntMatrix):
+            assert det_exact(copied) == det_exact(record)
+
+
+@pytest.mark.parametrize("value, fields", [
+    (Poly.var("x") + 1, ("variables", "terms")),
+    (IntMatrix.from_rows([[1, 2], [3, 4]]), ("rows", "cols", "entries")),
+    (GrChowClass.schubert(3, 6, (2, 1)), ("k", "n", "codim", "terms")),
+], ids=["Poly", "IntMatrix", "GrChowClass"])
+def test_value_fields_refuse_assignment_and_deletion(value, fields):
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_value_equality_rules():
+    m = IntMatrix.from_rows([[1, 2], [3, 4]])
+    assert m != [[1, 2], [3, 4]] and m != ((1, 2), (3, 4))
+    cached = det_cached([[1, 2], [3, 4]])
+    assert m == cached and hash(m) == hash(cached)
+    # The zero class sits in every codimension at once.
+    assert GrChowClass(3, 6, 3, {}) == GrChowClass(3, 6, 10, {})
+    assert hash(GrChowClass(3, 6, 3, {})) == hash(GrChowClass(3, 6, 10, {}))
 
 
 def test_records_take_their_fields_by_position_only():

@@ -21,6 +21,7 @@ from chowkit.hyperplane import (
     rational_cycle,
     reference_bases,
     section_class,
+    section_codim,
     standard_collection,
     tate_iso_check,
     verify_c3_twist_identity,
@@ -78,6 +79,13 @@ def test_label_degree_rule():
     assert [label_weight(c) for c in range(9)] == [0, 1, 2, 3, 4, 6, 7, 8, 9]
     with pytest.raises(ValueError):
         section_class(5, {(3, 2): 1})     # degree-5 labels do not exist
+
+
+def test_section_codim_inverts_label_weight_on_the_box_degrees():
+    assert [section_codim(label_weight(c)) for c in range(9)] == list(range(9))
+    for degree in (-3, -1, 5, 10, 12):
+        with pytest.raises(ValueError):
+            section_codim(degree)
 
 
 # -- hyperplane multiplication -------------------------------------------------------

@@ -12,8 +12,9 @@ from chowkit.exact import IntMatrix, Poly, invertible_over_localization, is_prim
 from chowkit.geometry import chart_equation, witt_split
 from chowkit.hyperplane import label_weight, rational_cycle, section_codim, verify_cycle_recursion
 from chowkit.schubert import GrChowClass, normalize_partition, point_count
-from chowkit.spectral import weight_table
-from chowkit.tate import d2_matrix, d2_matrix_from_chern, enumerate_multi_indices, gl_tate_pattern
+from chowkit.spectral import cech_group, cyclic, weight_table
+from chowkit.tate import (d2_matrix, d2_matrix_from_chern, enumerate_multi_indices,
+                          gl_tate_pattern, max_weight)
 
 # Small values too, so that a truncated value would often pass the range checks.
 NOT_INTEGERS = st.one_of(
@@ -58,6 +59,11 @@ INTEGER_ARGUMENTS = {
     "label_weight codim": lambda v: label_weight(v),
     "section_codim degree": lambda v: section_codim(v),
     "enumerate_multi_indices weight": lambda v: enumerate_multi_indices(3, v),
+    "cyclic order": lambda v: cyclic(v),
+    "cech_group n": lambda v: cech_group(v, 3, 1),
+    "cech_group p": lambda v: cech_group(3, v, 1),
+    "cech_group w": lambda v: cech_group(3, 3, v),
+    "max_weight n": lambda v: max_weight(v),
 }
 
 

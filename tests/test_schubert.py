@@ -296,6 +296,12 @@ def test_point_count_small():
     assert point_count(2, 2, 7) == 1
 
 
+def test_point_count_refuses_fields_below_two_elements():
+    for q in (1, 0, -1, -4):
+        with pytest.raises(ValueError):
+            point_count(2, 6, q)
+
+
 def test_point_count_gr36_f2_against_enumeration():
     # Brute force: canonicalize the row space of every independent 3-set of
     # nonzero vectors in F_2^6.
